@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -320,6 +321,22 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _finite_number(allow_zero: bool):
+    """argparse type: a finite float, positive (or nonnegative)."""
+    word = "nonnegative" if allow_zero else "positive"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
+            raise argparse.ArgumentTypeError(f"must be a {word} finite number, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wkbrec",
@@ -336,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--tolerance",
-            type=float,
+            type=_finite_number(allow_zero=False),
             default=DEFAULT_ROOT_TOL,
             help="root-residual tolerance override",
         )
@@ -354,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("scenario")
     p_sweep.add_argument(
         "--epsilons",
-        type=float,
+        type=_finite_number(allow_zero=True),
         nargs="+",
         default=None,
         help="override the scenario's epsilon_sweep list",

@@ -4,11 +4,20 @@ At each index k the frozen-coefficient characteristic polynomial
 
     p(rho) = rho^N + f[N-1](k) rho^(N-1) + ... + f[1](k) rho + f[0](k)
 
-has N complex roots.  This module finds them simultaneously (Aberth-Ehrlich
-iteration with warm starting), carries consistent branch labels from one
-index to the next, builds the power gauge ``g[m,n,k] = rho[n,k]**m`` whose
+has N complex roots.  :func:`root_frames` finds them for a whole index window
+in one batched pass: the eigenvalues of the stacked companion matrices,
+polished by simultaneous Aberth-Ehrlich sweeps until every root meets the
+residual bound of :func:`characteristic_roots`.  Branch labels are then
+carried along the window by matching each unordered root set to the one
+before it (a certified nearest-root match, or the exact search over all
+permutations when the certificate fails) and composing those matches.
+
+The module also builds the power gauge ``g[m,n,k] = rho[n,k]**m`` whose
 stacked matrix is the Vandermonde matrix of the roots, and provides that
 matrix's closed-form inverse through elementary symmetric polynomials.
+:func:`characteristic_roots` and :func:`track_branches` are the single-index
+forms of the root and tracking steps; they share the sweep, the residual
+bound and the tie check with the batched pass.
 """
 
 from __future__ import annotations
@@ -38,6 +47,10 @@ SEPARATION_THRESHOLD = 1e-8
 # Two branch assignments whose total distances differ by less than this
 # (times the root scale) cannot be told apart.
 TIE_THRESHOLD = 1e-12
+# A nearest-root match is accepted without the exact search only when its
+# lower bound on the tie gap exceeds the tie threshold by this factor, so
+# rounding in the two computations cannot separate their verdicts.
+_CERTIFY_MARGIN = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +83,16 @@ class SigmaTable:
 
 
 def _descending(coeffs: np.ndarray) -> np.ndarray:
-    """Monic coefficients in descending degree: (1, f[N-1], ..., f[0])."""
-    return np.concatenate(([1.0 + 0.0j], coeffs[::-1]))
+    """Monic coefficients in descending degree, (1, f[N-1], ..., f[0]), per row."""
+    lead = np.ones(coeffs.shape[:-1] + (1,), dtype=complex)
+    return np.concatenate((lead, coeffs[..., ::-1]), axis=-1)
 
 
 def _polyval(c_desc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.full_like(np.asarray(z, dtype=complex), c_desc[0])
-    for c in c_desc[1:]:
-        acc = acc * z + c
+    """Horner evaluation of each row of ``c_desc`` at the same row of ``z``."""
+    acc = np.zeros(np.shape(z), dtype=complex) + c_desc[..., :1]
+    for j in range(1, c_desc.shape[-1]):
+        acc = acc * z + c_desc[..., j : j + 1]
     return acc
 
 
@@ -94,6 +109,14 @@ def min_separation(roots) -> float:
     return float(diff.min())
 
 
+def _check_separation(frame: RootFrame) -> None:
+    """Raise :class:`DegenerateRoots` unless the frame's roots are pairwise
+    farther apart than :data:`SEPARATION_THRESHOLD` times the largest one."""
+    roots = frame.roots
+    if min_separation(roots) <= SEPARATION_THRESHOLD * float(np.max(np.abs(roots))):
+        raise DegenerateRoots("root separation below threshold", k=frame.k)
+
+
 def _prepare_seed(z: np.ndarray, radius: float) -> np.ndarray:
     # Two traps to avoid: exactly coincident iterates blow up the repulsion
     # terms, and exactly real iterates of a real polynomial can never reach
@@ -105,6 +128,44 @@ def _prepare_seed(z: np.ndarray, radius: float) -> np.ndarray:
         while np.min(np.abs(z[:i] - z[i])) < 1e-14 * radius:
             z[i] += (i + 1) * 1e-7 * radius * (0.6 + 0.8j)
     return z
+
+
+def _aberth_update(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Aberth-Ehrlich corrections for the iterates ``z``, row by row.
+
+    ``c`` and ``dc`` are the descending coefficients of each row's
+    polynomial and of its derivative.  An entry is non-finite where the
+    derivative vanishes or two iterates coincide.
+    """
+    n = z.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = _polyval(c, z) / _polyval(dc, z)
+        diff = z[..., :, None] - z[..., None, :]
+        diff[..., np.arange(n), np.arange(n)] = np.inf
+        repulsion = (1.0 / diff).sum(axis=-1)
+        denom = 1.0 - ratio * repulsion
+        return np.where(denom == 0, ratio, ratio / denom)
+
+
+def _residual_failure(f: np.ndarray, z: np.ndarray, tol: float):
+    """Residuals of the roots ``z`` of each row of ``f``, and the first row
+    breaking the bound as ``(row, NoConvergence)``, or None if none does.
+
+    The bound is ``|p(root)| <= tol * (1 + sum|f|) * max(1, |root|)**N``.
+    """
+    residuals = np.abs(_polyval(_descending(f), z))
+    scale = (1.0 + np.abs(f).sum(axis=-1, keepdims=True)) * np.maximum(
+        1.0, np.abs(z)
+    ) ** f.shape[-1]
+    bad = (residuals > tol * scale).any(axis=-1)
+    if not bad.any():
+        return residuals, None
+    row = int(np.argmax(bad))
+    worst = int(np.argmax(residuals[row] / scale[row]))
+    error = NoConvergence(
+        f"root residual {residuals[row, worst]:.3e} above tolerance", branch=worst
+    )
+    return residuals, (row, error)
 
 
 def characteristic_roots(
@@ -146,21 +207,10 @@ def characteristic_roots(
 
     converged = False
     for _ in range(max_iter):
-        p = _polyval(c, z)
-        dp = _polyval(dc, z)
-        bad = dp == 0
-        if np.any(bad):
-            z = np.where(bad, z * (1.0 + 1e-7) + 1e-7 * radius, z)
-            continue
-        ratio = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulsion = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - ratio * repulsion
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(denom == 0, ratio, ratio / denom)
-        if not np.all(np.isfinite(w)):
-            z = np.where(np.isfinite(w), z, z * (1.0 + 1e-7) + 1e-7 * radius)
+        w = _aberth_update(c, dc, z)
+        finite = np.isfinite(w)
+        if not np.all(finite):
+            z = np.where(finite, z, z * (1.0 + 1e-7) + 1e-7 * radius)
             continue
         z = z - w
         if np.max(np.abs(w)) < ABERTH_UPDATE_TOL * radius:
@@ -168,19 +218,35 @@ def characteristic_roots(
             break
     if not converged:
         raise NoConvergence(f"no convergence within {max_iter} iterations")
-    residuals = np.abs(_polyval(c, z))
-    scale = (1.0 + np.abs(f).sum()) * np.maximum(1.0, np.abs(z)) ** n
-    if np.any(residuals > tol * scale):
-        worst = int(np.argmax(residuals / scale))
-        raise NoConvergence(
-            f"root residual {residuals[worst]:.3e} above tolerance", branch=worst
-        )
+    _, failure = _residual_failure(f[None], z[None], tol)
+    if failure is not None:
+        raise failure[1]
     return z
 
 
 @lru_cache(maxsize=None)
 def _permutations(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=int)
+
+
+def _best_assignment(prev: np.ndarray, new: np.ndarray, k: int) -> np.ndarray:
+    """Exact branch assignment: entry i is the index of the new root that
+    continues previous root i.
+
+    The permutation minimising the total label-to-root distance is found by
+    searching all N! of them.  If the best and second-best totals tie within
+    :data:`TIE_THRESHOLD` times the root scale, :class:`AmbiguousTracking`
+    is raised at index ``k``.
+    """
+    n = len(prev)
+    cost = np.abs(new[None, :] - prev[:, None])
+    perms = _permutations(n)
+    totals = cost[np.arange(n)[None, :], perms].sum(axis=1)
+    best = int(np.argmin(totals))
+    scale = max(1.0, float(np.max(np.abs(new))))
+    if np.partition(totals, 1)[1] - totals[best] < TIE_THRESHOLD * scale:
+        raise AmbiguousTracking("two branch assignments tie within tolerance", k=k)
+    return perms[best]
 
 
 def track_branches(prev: RootFrame, new_roots, residuals=None) -> RootFrame:
@@ -197,16 +263,7 @@ def track_branches(prev: RootFrame, new_roots, residuals=None) -> RootFrame:
     n = prev.order
     if new.shape != (n,):
         raise ValueError(f"expected {n} roots, got {new.shape}")
-    cost = np.abs(new[None, :] - prev.roots[:, None])
-    perms = _permutations(n)
-    totals = cost[np.arange(n)[None, :], perms].sum(axis=1)
-    order = np.argsort(totals, kind="stable")
-    best = perms[order[0]]
-    scale = max(1.0, float(np.max(np.abs(new))))
-    if totals[order[1]] - totals[order[0]] < TIE_THRESHOLD * scale:
-        raise AmbiguousTracking(
-            "two branch assignments tie within tolerance", k=prev.k + 1
-        )
+    best = _best_assignment(prev.roots, new, prev.k + 1)
     if residuals is None:
         new_res = np.full(n, np.nan)
     else:
@@ -222,11 +279,9 @@ def power_gauge(frame: RootFrame) -> GaugeSet:
     :data:`SEPARATION_THRESHOLD` times the largest magnitude raise
     :class:`DegenerateRoots`.
     """
+    _check_separation(frame)
     roots = frame.roots
-    n = len(roots)
-    if min_separation(roots) <= SEPARATION_THRESHOLD * float(np.max(np.abs(roots))):
-        raise DegenerateRoots("root separation below threshold", k=frame.k)
-    g = roots[None, :] ** np.arange(1, n)[:, None]
+    g = roots[None, :] ** np.arange(1, len(roots))[:, None]
     return GaugeSet(k=frame.k, g=g)
 
 
@@ -264,10 +319,9 @@ def vandermonde_inverse(frame: RootFrame) -> np.ndarray:
     which is the coefficient of x**j in the i-th Lagrange cardinal polynomial
     on the roots.  Requires pairwise distinct roots.
     """
+    _check_separation(frame)
     roots = frame.roots
     n = len(roots)
-    if min_separation(roots) <= SEPARATION_THRESHOLD * float(np.max(np.abs(roots))):
-        raise DegenerateRoots("root separation below threshold", k=frame.k)
     signs = (-1.0) ** np.arange(n)
     inv = np.empty((n, n), dtype=complex)
     for i in range(n):
@@ -276,21 +330,92 @@ def vandermonde_inverse(frame: RootFrame) -> np.ndarray:
     return inv
 
 
-def frame_from_coeffs(
-    spec: RecurrenceSpec, k: int, tol: float = DEFAULT_ROOT_TOL, prev: RootFrame | None = None
-) -> RootFrame:
-    """Root frame at one index, warm started and tracked from ``prev``."""
-    f = spec.coeff_array(k)
-    try:
-        roots = characteristic_roots(f, tol=tol, seed=None if prev is None else prev.roots)
-    except RecurrenceError as exc:
-        raise exc.with_context(k=k) from exc
-    res = root_residuals(f, roots)
-    if prev is None:
-        # Fix an arbitrary but deterministic labelling for the first frame.
-        order = np.lexsort((roots.imag, roots.real))
-        return RootFrame(k=k, roots=roots[order], residuals=res[order])
-    return track_branches(prev, roots, residuals=res)
+def _polish(f: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Aberth sweeps from the root estimates ``z``, one row per index.
+
+    A row stops once its largest update drops below ``ABERTH_UPDATE_TOL``
+    times its radius ``1 + max|f|``, the rule of :func:`characteristic_roots`.
+    Returns the polished roots and a mask of the rows that produced a
+    non-finite update or did not stop within ``ABERTH_MAX_ITER`` sweeps.
+    """
+    c = _descending(f)
+    dc = c[:, :-1] * np.arange(f.shape[1], 0, -1)
+    radius = 1.0 + np.abs(f).max(axis=1, initial=0.0)
+    z = z.copy()
+    unsettled = np.zeros(len(z), dtype=bool)
+    active = np.arange(len(z))
+    for _ in range(ABERTH_MAX_ITER):
+        if active.size == 0:
+            break
+        w = _aberth_update(c[active], dc[active], z[active])
+        finite = np.isfinite(w).all(axis=1)
+        unsettled[active[~finite]] = True
+        active, w = active[finite], w[finite]
+        z[active] -= w
+        active = active[np.abs(w).max(axis=1) >= ABERTH_UPDATE_TOL * radius[active]]
+    unsettled[active] = True
+    return z, unsettled
+
+
+def _window_roots(f: np.ndarray, tol: float):
+    """Unordered roots and residuals of every row of a ``(W, N)`` coefficient
+    table, and the first failing row as ``(row, error)`` (None if none fails).
+
+    Rows from the failing one on are left out of the returned arrays, so
+    the caller can still label the rows before it.
+    """
+    failure = None
+    bad = (f[:, 0] == 0) | ~np.isfinite(f).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if f[row, 0] == 0:
+            error = ZeroCoefficient("zero constant term implies a zero root")
+        else:
+            error = RecurrenceError("non-finite characteristic coefficient")
+        failure, f = (row, error), f[:row]
+    n = f.shape[1]
+    companion = np.zeros((len(f), n, n), dtype=complex)
+    companion[:, 0, :] = -f[:, ::-1]
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    z, unsettled = _polish(f, np.linalg.eigvals(companion))
+    for row in np.flatnonzero(unsettled):
+        try:
+            z[row] = characteristic_roots(f[row], tol=tol)
+        except RecurrenceError as exc:
+            failure, f, z = (int(row), exc), f[:row], z[:row]
+            break
+    residuals, bad_residual = _residual_failure(f, z, tol)
+    if bad_residual is not None:
+        row = bad_residual[0]
+        failure, z, residuals = bad_residual, z[:row], residuals[:row]
+    return z, residuals, failure
+
+
+def _matches(roots: np.ndarray, ks) -> np.ndarray:
+    """Row t: for each root of unordered set t, the index of the root of set
+    t+1 that continues it (the assignment of :func:`track_branches`).
+
+    The nearest-root map is taken as is when it is a permutation and the two
+    smallest row gaps (second-nearest minus nearest distance) sum to well
+    above the tie threshold: any other permutation differs from it in at
+    least two rows and pays at least their gaps, so it is then the unique
+    minimiser and no tie is possible.  Every other row takes the exact
+    search, which raises :class:`AmbiguousTracking` on a tie.
+    """
+    prev, new = roots[:-1], roots[1:]
+    n = roots.shape[1]
+    cost = np.abs(new[:, None, :] - prev[:, :, None])
+    nearest = cost.argmin(axis=2)
+    two = np.partition(cost, 1, axis=2)
+    gaps = two[..., 1] - two[..., 0]
+    bound = np.partition(gaps, 1, axis=1)[:, :2].sum(axis=1)
+    scale = np.maximum(1.0, np.abs(new).max(axis=1, initial=0.0))
+    certified = (np.sort(nearest, axis=1) == np.arange(n)).all(axis=1) & (
+        bound > _CERTIFY_MARGIN * TIE_THRESHOLD * scale
+    )
+    for t in np.flatnonzero(~certified):
+        nearest[t] = _best_assignment(prev[t], new[t], ks[t + 1])
+    return nearest
 
 
 def root_frames(
@@ -302,16 +427,34 @@ def root_frames(
     """Tracked root frames for ``k = k_lo .. k_hi``.
 
     Defaults to ``k_start .. k_start + horizon``, which is what one
-    propagation pass needs.  Each frame seeds the next solve, so for slowly
-    varying coefficients the per-index cost is a couple of sweeps.
+    propagation pass needs.  The coefficients of the window are sampled
+    into one table and its roots are found and labelled in one batched pass
+    (see the module docstring).  Rows whose polish does not settle are
+    solved by :func:`characteristic_roots` instead.  The first frame is
+    labelled by ascending real, then imaginary part.  A failure raises the
+    error of the lowest failing index, with that index attached: a
+    non-finite or zero-constant coefficient row, a root residual above
+    ``tol`` (:class:`NoConvergence`), or a tie in the tracking
+    (:class:`AmbiguousTracking`).
     """
     if k_lo is None:
         k_lo = spec.k_start
     if k_hi is None:
         k_hi = spec.k_start + spec.horizon
+    ks = range(k_lo, k_hi + 1)
+    f = np.array([spec.coeff_array(k) for k in ks], dtype=complex)
+    roots, residuals, failure = _window_roots(f.reshape(len(ks), spec.order), tol)
     frames: list[RootFrame] = []
-    prev = None
-    for k in range(k_lo, k_hi + 1):
-        prev = frame_from_coeffs(spec, k, tol=tol, prev=prev)
-        frames.append(prev)
+    if len(roots):
+        matches = _matches(roots, ks)
+        labels = np.lexsort((roots[0].imag, roots[0].real))
+        for t in range(len(roots)):
+            if t:
+                labels = matches[t - 1][labels]
+            frames.append(
+                RootFrame(k=ks[t], roots=roots[t, labels], residuals=residuals[t, labels])
+            )
+    if failure is not None:
+        row, error = failure
+        raise error.with_context(k=ks[row]) from error
     return frames

@@ -21,7 +21,9 @@ end can report every problem at once instead of failing on the first.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,21 +75,37 @@ class Scenario:
 
 
 def parse_complex(value) -> complex:
-    """Accept real numbers, [re, im] pairs, and decimal strings like '1-2.5j'."""
+    """Accept real numbers, [re, im] pairs, and decimal strings like '1-2.5j'.
+
+    NaN and infinite parts are rejected: JSON readers accept bare ``NaN``
+    and ``Infinity``, but no model value or initial value may be non-finite.
+    """
+    z = None
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
+        z = complex(value)
+    elif isinstance(value, str):
         try:
-            return complex(value.replace(" ", ""))
+            z = complex(value.replace(" ", ""))
         except ValueError:
-            raise ValueError(f"cannot parse complex number from {value!r}") from None
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+            pass
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
         re, im = value
         if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(re, im)
-    raise ValueError(f"cannot parse complex number from {value!r}")
+            z = complex(re, im)
+    if z is None:
+        raise ValueError(f"cannot parse complex number from {value!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"not a finite number: {value!r}")
+    return z
+
+
+def _parse_real(value, name: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"'{name}' must be finite, got {value!r}")
+    return x
 
 
 _MODEL_KEYS = {
@@ -110,17 +128,21 @@ def _parse_model(entry, where: str, errors: list[str]) -> CoefficientModel | Non
             return Constant(parse_complex(entry["value"]))
         if variant == "tabulated":
             values = [parse_complex(v) for v in entry["values"]]
-            return Tabulated(values=np.array(values), k_first=int(entry["k_first"]))
+            k_first = entry["k_first"]
+            if not isinstance(k_first, int) or isinstance(k_first, bool):
+                raise ValueError(f"'k_first' must be an integer, got {k_first!r}")
+            return Tabulated(values=np.array(values), k_first=k_first)
         if variant == "polynomial":
             coeffs = tuple(parse_complex(v) for v in entry["coeffs"])
-            return PolynomialInEpsK(coeffs=coeffs, epsilon=float(entry.get("epsilon", 0.0)))
+            epsilon = _parse_real(entry.get("epsilon", 0.0), "epsilon")
+            return PolynomialInEpsK(coeffs=coeffs, epsilon=epsilon)
         if variant == "sinusoidal":
             return SinusoidalInEpsK(
                 amplitude=parse_complex(entry["amplitude"]),
                 offset=parse_complex(entry["offset"]),
-                frequency=float(entry.get("frequency", 1.0)),
-                phase=float(entry.get("phase", 0.0)),
-                epsilon=float(entry.get("epsilon", 0.0)),
+                frequency=_parse_real(entry.get("frequency", 1.0), "frequency"),
+                phase=_parse_real(entry.get("phase", 0.0), "phase"),
+                epsilon=_parse_real(entry.get("epsilon", 0.0), "epsilon"),
             )
     except KeyError as exc:
         errors.append(f"{where}: missing field {exc}")
@@ -210,9 +232,11 @@ def _build(data) -> tuple[Scenario | None, list[str]]:
             not isinstance(raw, list)
             or not raw
             or not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in raw)
-            or any(e < 0 for e in raw)
+            or not all(math.isfinite(e) and e >= 0 for e in raw)
         ):
-            errors.append("'epsilon_sweep' must be a nonempty list of nonnegative numbers")
+            errors.append(
+                "'epsilon_sweep' must be a nonempty list of finite nonnegative numbers"
+            )
         else:
             sweep = tuple(float(e) for e in raw)
 

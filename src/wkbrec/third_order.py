@@ -23,7 +23,7 @@ import numpy as np
 from .core import RecurrenceSpec, ScalarTrajectory
 from .decomposition import ComponentVector, GaugeSet
 from .errors import Breakdown, DegenerateRoots
-from .roots import SEPARATION_THRESHOLD, RootFrame, min_separation
+from .roots import SEPARATION_THRESHOLD, RootFrame, _check_separation
 
 # Denominator threshold for the ratio recursion, scaled by coefficient size.
 RICCATI_BREAKDOWN_TOL = 1e-12
@@ -68,10 +68,8 @@ def _frames_checked(Y: ComponentVector, frame_now: RootFrame, frame_next: RootFr
         raise ValueError(
             f"frame indices ({frame_now.k}, {frame_next.k}) do not bracket k={Y.k}"
         )
-    for frame in (frame_now, frame_next):
-        sep_scale = SEPARATION_THRESHOLD * float(np.max(np.abs(frame.roots)))
-        if min_separation(frame.roots) <= sep_scale:
-            raise DegenerateRoots("root separation below threshold", k=frame.k)
+    _check_separation(frame_now)
+    _check_separation(frame_next)
     return frame_now.roots, frame_next.roots
 
 

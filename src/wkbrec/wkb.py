@@ -40,7 +40,6 @@ from .roots import (
 from .third_order import (
     explicit_step,
     oracle_ratio_branch,
-    product_solution,
     riccati_gauge,
     wkb3_step,
 )
@@ -162,28 +161,46 @@ class SweepResult:
     terminal_errors: dict[str, np.ndarray]
 
 
-def _initial_components(initial, frames) -> ComponentVector:
-    return decompose_initial(np.asarray(initial, dtype=complex), power_gauge(frames[0]))
+class _Frames:
+    """The root frames of one problem, computed on first use and shared by
+    every driver of one :func:`compare_methods` call."""
+
+    def __init__(self, spec: RecurrenceSpec, tol: float):
+        self.spec = spec
+        self.tol = tol
+        self._all: list[RootFrame] | None = None
+
+    def all(self) -> list[RootFrame]:
+        """Frames for ``k_start .. k_start + horizon``."""
+        if self._all is None:
+            self._all = root_frames(self.spec, tol=self.tol)
+        return self._all
+
+    def first(self) -> RootFrame:
+        """The frame at ``k_start``, without sampling the window for it."""
+        if self._all is not None:
+            return self._all[0]
+        k = self.spec.k_start
+        return root_frames(self.spec, k, k, tol=self.tol)[0]
 
 
-def _run_direct(spec, initial, root_tol):
+def _run_direct(spec, initial, frames):
     return direct_solve(spec, initial).values[: spec.horizon + 1]
 
 
-def _run_companion(spec, initial, root_tol):
+def _run_companion(spec, initial, frames):
     return companion_propagate(spec, initial).values[: spec.horizon + 1]
 
 
-def _run_gauge_exact(spec, initial, root_tol):
-    frames = root_frames(spec, tol=root_tol)
-    gauges = [power_gauge(f) for f in frames]
+def _run_gauge_exact(spec, initial, frames):
+    gauges = [power_gauge(f) for f in frames.all()]
     values, _ = propagate(spec, initial, gauges)
     return values
 
 
-def _reconstruct_chain(spec, initial, root_tol, advance):
-    frames = root_frames(spec, tol=root_tol)
-    Y = _initial_components(initial, frames)
+def _reconstruct_chain(spec, initial, frames, advance):
+    frames = frames.all()
+    Y = decompose_initial(np.asarray(initial, dtype=complex), power_gauge(frames[0]))
     values = np.empty(spec.horizon + 1, dtype=complex)
     values[0] = reconstruct(Y)
     for s in range(spec.horizon):
@@ -192,33 +209,33 @@ def _reconstruct_chain(spec, initial, root_tol, advance):
     return values
 
 
-def _run_explicit3(spec, initial, root_tol):
+def _run_explicit3(spec, initial, frames):
     def advance(Y, f_now, f_next, s):
         return explicit_step(Y, f_now, f_next, spec.forcing_value(spec.k_start + s))
 
-    return _reconstruct_chain(spec, initial, root_tol, advance)
+    return _reconstruct_chain(spec, initial, frames, advance)
 
 
-def _run_wkb3(spec, initial, root_tol):
+def _run_wkb3(spec, initial, frames):
     def advance(Y, f_now, f_next, s):
         return wkb3_step(Y, f_now, f_next, spec.forcing_value(spec.k_start + s))
 
-    return _reconstruct_chain(spec, initial, root_tol, advance)
+    return _reconstruct_chain(spec, initial, frames, advance)
 
 
-def _run_wkb_general(spec, initial, root_tol):
+def _run_wkb_general(spec, initial, frames):
     def advance(Y, f_now, f_next, s):
         return wkb_step_general(Y, f_now, f_next)[0]
 
-    return _reconstruct_chain(spec, initial, root_tol, advance)
+    return _reconstruct_chain(spec, initial, frames, advance)
 
 
-def _run_riccati(spec, initial, root_tol):
+def _run_riccati(spec, initial, frames):
     # Three independent scalar solutions seeded branchwise from the roots at
     # the start of the window; their ratio sequences decouple the system and
-    # the solution telescopes into branch products.
-    frames = root_frames(spec, k_lo=spec.k_start, k_hi=spec.k_start, tol=root_tol)
-    rho = frames[0].roots
+    # the solution telescopes into branch products (the running products of
+    # :func:`product_solution`, accumulated once per branch).
+    rho = frames.first().roots
     branches = []
     for n in range(3):
         window = np.array([1.0, rho[n], rho[n] ** 2], dtype=complex)
@@ -226,14 +243,10 @@ def _run_riccati(spec, initial, root_tol):
         branches.append(oracle_ratio_branch(traj, label=n))
     gauge0 = riccati_gauge(branches, spec.k_start)
     Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge0)
-    values = np.array(
-        [
-            product_solution(Y0, branches, spec.k_start + j)
-            for j in range(spec.horizon + 1)
-        ],
-        dtype=complex,
-    )
-    return values
+    growth = np.ones((3, spec.horizon + 1), dtype=complex)
+    for n, branch in enumerate(branches):
+        growth[n, 1:] = np.cumprod(branch.p1[: spec.horizon])
+    return (Y0.y[:, None] * growth).sum(axis=0)
 
 
 _DRIVERS = {
@@ -274,8 +287,11 @@ def compare_methods(
     """Run the requested methods and tabulate errors against the oracle.
 
     Method order is preserved (duplicates dropped); the oracle is always the
-    scalar recursion.  Numerical failures inside a method are re-raised with
-    the failing step index attached.
+    scalar recursion.  The root frames are computed once, when the first
+    method needing them runs, and shared by every root-based method
+    (``riccati`` alone needs only the first frame).  Numerical failures
+    inside a method are re-raised with the method name and the failing step
+    index attached.
     """
     ordered = list(dict.fromkeys(methods))
     issues = check_methods(spec, ordered)
@@ -283,11 +299,12 @@ def compare_methods(
         raise ValueError("; ".join(issues))
     ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
     oracle = direct_solve(spec, initial).values[: spec.horizon + 1]
+    frames = _Frames(spec, root_tol)
     values: dict[str, np.ndarray] = {}
     rel_errors: dict[str, np.ndarray] = {}
     for name in ordered:
         try:
-            values[name] = _DRIVERS[name](spec, initial, root_tol)
+            values[name] = _DRIVERS[name](spec, initial, frames)
         except RecurrenceError as exc:
             raise type(exc)(
                 f"method '{name}': {exc.message}", k=exc.k, branch=exc.branch

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wkbrec.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 
 
@@ -172,6 +174,86 @@ class TestValidate:
         path.write_text("{")
         assert main(["validate", str(path)]) == EXIT_SCHEMA
         assert "JSON" in capsys.readouterr().out
+
+
+class TestNonFiniteInput:
+    def validate(self, tmp_path, capsys, data):
+        scenario = write_scenario(tmp_path / "bad.json", data)
+        code = main(["validate", scenario])
+        return code, capsys.readouterr().out
+
+    def test_nan_epsilon_rejected(self, tmp_path, capsys):
+        data = sweep_scenario(tmp_path)
+        data["coefficients"][1]["epsilon"] = float("nan")
+        code, out = self.validate(tmp_path, capsys, data)
+        assert code == EXIT_SCHEMA
+        assert "coefficients[1]: 'epsilon' must be finite" in out
+
+    def test_infinite_frequency_and_phase_rejected(self, tmp_path, capsys):
+        data = sweep_scenario(tmp_path)
+        data["coefficients"][0]["frequency"] = float("inf")
+        data["coefficients"][2]["phase"] = float("-inf")
+        code, out = self.validate(tmp_path, capsys, data)
+        assert code == EXIT_SCHEMA
+        assert "coefficients[0]: 'frequency' must be finite" in out
+        assert "coefficients[2]: 'phase' must be finite" in out
+
+    def test_non_finite_complex_values_rejected(self, tmp_path, capsys):
+        data = fibonacci_scenario(tmp_path)
+        data["coefficients"][1]["value"] = float("nan")
+        data["initial"] = ["inf", "1"]
+        code, out = self.validate(tmp_path, capsys, data)
+        assert code == EXIT_SCHEMA
+        assert "coefficients[1]: not a finite number" in out
+        assert "initial: not a finite number" in out
+
+    def test_non_finite_sweep_value_rejected(self, tmp_path, capsys):
+        data = sweep_scenario(tmp_path)
+        data["epsilon_sweep"] = [0.02, float("nan")]
+        code, out = self.validate(tmp_path, capsys, data)
+        assert code == EXIT_SCHEMA
+        assert "'epsilon_sweep' must be a nonempty list of finite" in out
+
+    def test_fractional_k_first_rejected(self, tmp_path, capsys):
+        data = fibonacci_scenario(tmp_path)
+        data["coefficients"][0] = {"variant": "tabulated", "values": [-1] * 20, "k_first": 2.7}
+        code, out = self.validate(tmp_path, capsys, data)
+        assert code == EXIT_SCHEMA
+        assert "'k_first' must be an integer" in out
+
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "fib.json", fibonacci_scenario(tmp_path))
+        for value in ("-1", "0", "nan", "inf"):
+            with pytest.raises(SystemExit) as info:
+                main(["run", scenario, "--tolerance", value])
+            assert info.value.code == EXIT_SCHEMA
+            assert "--tolerance: must be a positive finite number" in capsys.readouterr().err
+
+    def test_sweep_override_must_be_finite(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "sw.json", sweep_scenario(tmp_path))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", scenario, "--epsilons", "0.01", "nan"])
+        assert info.value.code == EXIT_SCHEMA
+        assert "--epsilons: must be a nonnegative finite number" in capsys.readouterr().err
+
+    def test_overflowing_coefficient_names_its_index(self, tmp_path, capsys):
+        # eps * k overflows from k=2 on, so f[1] = 11 + c * eps * k is
+        # finite up to k=1 and NaN after; the scenario validates, and the
+        # root pass reports where it broke
+        data = sweep_scenario(tmp_path)
+        data["coefficients"][1] = {
+            "variant": "polynomial",
+            "coeffs": ["11", "1e-300+1e-300j"],
+            "epsilon": 1e308,
+        }
+        data["methods"] = ["gauge-exact"]
+        data.pop("epsilon_sweep")
+        scenario = write_scenario(tmp_path / "overflow.json", data)
+        assert main(["validate", scenario]) == EXIT_OK
+        assert main(["run", scenario]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "non-finite characteristic coefficient at index k=2" in err
+        assert "Traceback" not in err
 
 
 class TestSweep:

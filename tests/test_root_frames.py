@@ -1,0 +1,259 @@
+"""The batched root-frame pass against the index-by-index algorithm.
+
+The reference below solves each index with a warm-started Aberth iteration
+(:func:`characteristic_roots` seeded with the previous frame) and carries
+labels with the exact permutation search of :func:`track_branches`.  The
+batched :func:`root_frames` must reproduce its labels, and fail with the
+same error class at the same index.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wkbrec import (
+    AmbiguousTracking,
+    Constant,
+    DegenerateRoots,
+    NoConvergence,
+    RecurrenceError,
+    RecurrenceSpec,
+    RootFrame,
+    Tabulated,
+    characteristic_roots,
+    compare_methods,
+    power_gauge,
+    propagate,
+    root_frames,
+    root_residuals,
+    track_branches,
+)
+from wkbrec import roots as roots_module
+from wkbrec.roots import DEFAULT_ROOT_TOL
+from conftest import sin_family
+
+
+def reference_frames(spec, tol=DEFAULT_ROOT_TOL):
+    frames = []
+    for k in range(spec.k_start, spec.k_start + spec.horizon + 1):
+        f = spec.coeff_array(k)
+        seed = frames[-1].roots if frames else None
+        try:
+            roots = characteristic_roots(f, tol=tol, seed=seed)
+        except RecurrenceError as exc:
+            raise exc.with_context(k=k) from exc
+        res = root_residuals(f, roots)
+        if frames:
+            frames.append(track_branches(frames[-1], roots, residuals=res))
+        else:
+            order = np.lexsort((roots.imag, roots.real))
+            frames.append(RootFrame(k=k, roots=roots[order], residuals=res[order]))
+    return frames
+
+
+def outcome(fn):
+    """``fn()``, or ``(error class, k)`` if it raises a library error."""
+    try:
+        return fn()
+    except RecurrenceError as exc:
+        return type(exc), exc.k
+
+
+def spec_from_roots(paths, forcing=0.0):
+    """Tabulated spec whose characteristic roots at index k are ``paths[k]``."""
+    paths = np.asarray(paths, dtype=complex)
+    n = paths.shape[1]
+    coeffs = np.array([np.poly(row)[::-1][:n] for row in paths])
+    return RecurrenceSpec(
+        order=n,
+        coeffs=tuple(Tabulated(values=coeffs[:, j], k_first=0) for j in range(n)),
+        k_start=0,
+        horizon=len(paths) - n - 1,
+        forcing=Constant(forcing),
+    )
+
+
+def base_roots(rng, n):
+    # real parts at least 0.4 apart, so the first frame's label order is
+    # decided far above rounding
+    x = 0.7 * (np.arange(n) - (n - 1) / 2) + 0.3 * rng.random(n)
+    return x + 1j * rng.uniform(-1.5, 1.5, n)
+
+
+def assert_same_frames(got, want):
+    assert [f.k for f in got] == [f.k for f in want]
+    for a, b in zip(got, want):
+        scale = float(np.max(np.abs(b.roots)))
+        assert np.max(np.abs(a.roots - b.roots)) <= 1e-12 * scale
+
+
+orders = st.integers(min_value=2, max_value=8)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+forcings = st.sampled_from([0.0, 0.7 - 0.3j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=orders, seed=seeds, eps=st.floats(0.01, 0.2), forcing=forcings)
+def test_slowly_varying_labels_match_reference(n, seed, eps, forcing):
+    rng = np.random.default_rng(seed)
+    horizon = 16
+    base = base_roots(rng, n)
+    amp = 0.1 * np.exp(2j * np.pi * rng.random(n))
+    phase = rng.uniform(0, 2 * np.pi, n)
+    ks = np.arange(horizon + n + 1)[:, None]
+    spec = spec_from_roots(base + amp * np.sin(eps * ks + phase), forcing=forcing)
+
+    want = reference_frames(spec)
+    got = root_frames(spec)
+    assert_same_frames(got, want)
+
+    # the shared frames drive the exact method as the reference frames do
+    initial = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref_values, _ = propagate(spec, initial, [power_gauge(f) for f in want])
+    table = compare_methods(spec, initial, ["gauge-exact"])
+    err = np.max(np.abs(table.values["gauge-exact"] - ref_values))
+    assert err <= 1e-9 * np.max(np.abs(ref_values))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=orders, seed=seeds, amp=st.floats(0.05, 1.0))
+def test_jumping_roots_take_the_exact_search(n, seed, amp):
+    # unrelated root sets at every index: the nearest-root map is often not
+    # a permutation, so many steps fall through to the exhaustive search
+    rng = np.random.default_rng(seed)
+    horizon = 10
+    base = base_roots(rng, n)
+    jumps = rng.uniform(-1, 1, (horizon + n + 1, n)) + 1j * rng.uniform(
+        -1, 1, (horizon + n + 1, n)
+    )
+    jumps[0] = 0.0
+    spec = spec_from_roots(base + amp * jumps)
+
+    want = outcome(lambda: reference_frames(spec))
+    got = outcome(lambda: root_frames(spec))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_frames(got, want)
+
+
+def collision_paths(kind, n, k0, rate, center, width=0.5):
+    """A pair of roots at ``center`` that collides at k0, plus n-2 fixed
+    real roots from 3 upwards.
+
+    ``crossing``: the pair is real before k0 and a complex-conjugate pair
+    from k0 on, so the two ways of matching it tie exactly.  ``squeeze``:
+    the pair separation drops from ``width`` to 1e-6 at k0 while a root of
+    modulus 1e4 sets the separation scale, so the pair stays resolved but
+    falls below the separation threshold.
+    """
+    ks = np.arange(k0 + 8 + n + 1)
+    others = 3.0 + 1.3 * np.arange(n - 2)
+    if kind == "crossing":
+        half = np.sqrt((rate * (k0 - ks - 0.5)).astype(complex))
+    else:
+        half = np.where(ks < k0, width / 2, 5e-7).astype(complex)
+        others[-1:] = 1e4
+    pair = np.stack([center + half, center - half], axis=1)
+    rest = np.broadcast_to(others, (len(ks), n - 2))
+    return np.concatenate([pair, rest], axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=orders,
+    kind=st.sampled_from(["crossing", "squeeze"]),
+    k0=st.integers(1, 6),
+    rate=st.floats(0.01, 0.2),
+    center=st.floats(-1.0, 1.0),
+    width=st.floats(0.2, 1.0),
+)
+def test_near_collisions_fail_like_reference(n, kind, k0, rate, center, width):
+    # without the large root a squeezed pair is ill-conditioned far above
+    # the update tolerance, and whether either solver stops is luck
+    assume(kind == "crossing" or n > 2)
+    spec = spec_from_roots(collision_paths(kind, n, k0, rate, center, width))
+
+    def through_gauges(frames_fn):
+        frames = frames_fn(spec)
+        for frame in frames:
+            power_gauge(frame)
+        return frames
+
+    want = outcome(lambda: through_gauges(reference_frames))
+    got = outcome(lambda: through_gauges(root_frames))
+    if kind == "crossing":
+        assert want == (AmbiguousTracking, k0)
+    else:
+        assert want == (DegenerateRoots, k0)
+    assert got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=orders, seed=seeds, j=st.integers(0, 20), nan_pos=st.integers(0, 7))
+def test_nan_coefficient_names_its_index(n, seed, j, nan_pos):
+    # a RecurrenceError naming k, never numpy's LinAlgError from eigvals
+    base = base_roots(np.random.default_rng(seed), n)
+    spec = spec_from_roots([base] * (20 + n + 1))
+    spec.coeffs[nan_pos % n].values[j] = np.nan
+    with pytest.raises(RecurrenceError) as info:
+        root_frames(spec)
+    assert info.value.k == j
+    assert "non-finite" in str(info.value)
+
+
+class TestFailures:
+    def test_lowest_failing_index_wins(self):
+        # the crossing at k=3 is met before an infinite coefficient at k=9,
+        # and an infinite coefficient at k=2 before the crossing
+        spec = spec_from_roots(collision_paths("crossing", 3, 3, 0.1, 0.0))
+        for j, expected in ((9, (AmbiguousTracking, 3)), (2, (RecurrenceError, 2))):
+            table = [m.values.copy() for m in spec.coeffs]
+            table[1][j] = np.inf
+            broken = replace(spec, coeffs=tuple(Tabulated(values=v, k_first=0) for v in table))
+            assert outcome(lambda: root_frames(broken)) == expected
+
+    def test_near_tie_with_distinct_nearest_roots_is_ambiguous(self):
+        # each previous root has its own nearest new root, but swapping the
+        # pair costs only ~1e-13 more: the certificate must not accept it
+        before = [-1.0, 1.0, 3.0]
+        after = [-1e-13 + 1j, 1e-13 - 1j, 3.0]
+        spec = spec_from_roots([before] * 4 + [after] * 5)
+        assert outcome(lambda: reference_frames(spec)) == (AmbiguousTracking, 4)
+        assert outcome(lambda: root_frames(spec)) == (AmbiguousTracking, 4)
+
+    def test_failed_fallback_names_its_index(self, monkeypatch):
+        # every row falls back to the scalar solver, which fails from the
+        # fourth row on; the rows before it are still labelled first
+        spec = sin_family(epsilon=0.02, horizon=20, k_start=5)
+        scalar = roots_module.characteristic_roots
+        calls = []
+
+        def failing(f, tol):
+            calls.append(f)
+            if len(calls) > 3:
+                raise NoConvergence("no convergence within 200 iterations")
+            return scalar(f, tol=tol)
+
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))
+        monkeypatch.setattr(roots_module, "characteristic_roots", failing)
+        assert outcome(lambda: root_frames(spec)) == (NoConvergence, 8)
+
+    def test_unsettled_rows_fall_back_to_scalar_solver(self, monkeypatch):
+        # coincident start values make every batched update non-finite
+        spec = sin_family(epsilon=0.02, horizon=20)
+        want = reference_frames(spec)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))
+        assert_same_frames(root_frames(spec), want)
+
+    def test_residuals_are_per_branch(self):
+        spec = sin_family(epsilon=0.01, horizon=30)
+        for frame in root_frames(spec):
+            f = spec.coeff_array(frame.k)
+            np.testing.assert_array_equal(frame.residuals, root_residuals(f, frame.roots))
+
+    def test_empty_window(self, cubic123_spec):
+        assert root_frames(cubic123_spec, 3, 2) == []

@@ -50,6 +50,11 @@ class TestParseComplex:
             with pytest.raises(ValueError):
                 parse_complex(bad)
 
+    def test_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf"), "nan", "1+infj", [0.0, float("-inf")]):
+            with pytest.raises(ValueError, match="not a finite number"):
+                parse_complex(bad)
+
     @settings(deadline=None, derandomize=True, max_examples=50)
     @given(
         re=st.floats(-1e6, 1e6, allow_nan=False),

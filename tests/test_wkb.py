@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wkbrec import wkb
 from wkbrec import (
     ComponentVector,
     RecurrenceSpec,
@@ -15,8 +16,11 @@ from wkbrec import (
     exact_step_general,
     explicit_step,
     min_separation,
+    oracle_ratio_branch,
     power_gauge,
+    product_solution,
     reconstruct,
+    riccati_gauge,
     root_frames,
     step,
     wkb3_step,
@@ -265,6 +269,48 @@ class TestCompareMethods:
         init = complex_array(rng, 3)
         table = compare_methods(spec, init, ["gauge-exact"])
         assert table.terminal_error("gauge-exact") < 1e-9 * 300
+
+    def test_riccati_running_products_match_product_solution(self):
+        spec = sin_family(epsilon=0.01, horizon=200, k_start=3)
+        init = np.array([1 + 0.2j, 1.4 - 0.1j, 2.2 + 0.3j])
+        rho = root_frames(spec, 3, 3)[0].roots
+        branches = [
+            oracle_ratio_branch(direct_solve(spec, [1.0, r, r**2]), label=n)
+            for n, r in enumerate(rho)
+        ]
+        Y0 = decompose_initial(init, riccati_gauge(branches, 3))
+        want = np.array([product_solution(Y0, branches, k) for k in range(3, 204)])
+        got = compare_methods(spec, init, ["riccati"]).values["riccati"]
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+class TestSharedFrames:
+    @pytest.fixture
+    def frame_calls(self, monkeypatch):
+        calls = []
+        original = wkb.root_frames
+
+        def counting(spec, *args, **kwargs):
+            calls.append(args)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(wkb, "root_frames", counting)
+        return calls
+
+    def test_one_frame_pass_for_every_method(self, frame_calls, rng):
+        spec = sin_family(epsilon=0.01, horizon=40)
+        compare_methods(spec, complex_array(rng, 3), wkb.METHOD_NAMES)
+        assert frame_calls == [()]
+
+    def test_baselines_compute_no_frames(self, frame_calls, rng):
+        spec = sin_family(epsilon=0.01, horizon=40)
+        compare_methods(spec, complex_array(rng, 3), ["direct", "companion"])
+        assert frame_calls == []
+
+    def test_riccati_alone_computes_only_the_first_frame(self, frame_calls, rng):
+        spec = sin_family(epsilon=0.01, horizon=40, k_start=5)
+        compare_methods(spec, complex_array(rng, 3), ["riccati"])
+        assert frame_calls == [(5, 5)]
 
 
 class TestRobustness:
