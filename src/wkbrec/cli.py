@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,83 +70,51 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _json_text(payload) -> str:
+    # a result table is strict JSON: a NaN or infinity is an error, never a
+    # bare token (compare_methods rejects non-finite values before this)
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _csv(columns: dict[str, list[str]]) -> str:
+    lines = [",".join(columns)]
+    lines.extend(",".join(row) for row in zip(*columns.values()))
     return "\n".join(lines) + "\n"
 
 
 def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
-    methods = list(table.values)
     if fmt == "json":
-        payload = {
-            "k": [int(k) for k in table.k],
-            "methods": {
-                name: {
-                    "re": [_num(v.real) for v in table.values[name]],
-                    "im": [_num(v.imag) for v in table.values[name]],
-                }
-                for name in methods
-            },
+        methods = {
+            name: {"re": [_num(v.real) for v in vals], "im": [_num(v.imag) for v in vals]}
+            for name, vals in table.values.items()
         }
-        return json.dumps(payload, indent=2) + "\n"
-    header = ["k"]
-    for name in methods:
-        header += [f"{name}_re", f"{name}_im"]
-    rows = []
-    for i, k in enumerate(table.k):
-        row = [str(int(k))]
-        for name in methods:
-            v = table.values[name][i]
-            row += [_fmt(v.real), _fmt(v.imag)]
-        rows.append(row)
-    return _csv(header, rows)
+        return _json_text({"k": [int(k) for k in table.k], "methods": methods})
+    columns = {"k": [str(int(k)) for k in table.k]}
+    for name, values in table.values.items():
+        columns[f"{name}_re"] = [_fmt(v.real) for v in values]
+        columns[f"{name}_im"] = [_fmt(v.imag) for v in values]
+    return _csv(columns)
 
 
 def _error_tables(table: ComparisonTable, fmt: str) -> str:
-    methods = list(table.rel_errors)
     if fmt == "json":
-        payload = {
-            "k": [int(k) for k in table.k],
-            "relative_error": {
-                name: [_num(e) for e in table.rel_errors[name]] for name in methods
-            },
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    header = ["k"] + [f"{name}_relerr" for name in methods]
-    rows = []
-    for i, k in enumerate(table.k):
-        rows.append(
-            [str(int(k))] + [_fmt(float(table.rel_errors[name][i])) for name in methods]
-        )
-    return _csv(header, rows)
+        errors = {name: [_num(e) for e in errs] for name, errs in table.rel_errors.items()}
+        return _json_text({"k": [int(k) for k in table.k], "relative_error": errors})
+    columns = {"k": [str(int(k)) for k in table.k]}
+    for name, errs in table.rel_errors.items():
+        columns[f"{name}_relerr"] = [_fmt(e) for e in errs]
+    return _csv(columns)
 
 
 def _sweep_table(result: SweepResult, fmt: str) -> str:
-    methods = list(result.terminal_errors)
     if fmt == "json":
-        payload = {
-            "epsilon": [_num(e) for e in result.epsilons],
-            "terminal_relative_error": {
-                name: [_num(v) for v in result.terminal_errors[name]]
-                for name in methods
-            },
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    header = ["epsilon"] + [f"{name}_terminal_relerr" for name in methods]
-    rows = []
-    for i, eps in enumerate(result.epsilons):
-        rows.append(
-            [_fmt(float(eps))]
-            + [_fmt(float(result.terminal_errors[name][i])) for name in methods]
-        )
-    return _csv(header, rows)
-
-
-def _resolve_output(scenario: Scenario, args) -> tuple[Path, str]:
-    outdir = Path(args.output_dir) if args.output_dir else Path(scenario.output_path)
-    fmt = args.format if args.format else scenario.output_format
-    return outdir, fmt
+        errors = {n: [_num(v) for v in e] for n, e in result.terminal_errors.items()}
+        epsilons = [_num(e) for e in result.epsilons]
+        return _json_text({"epsilon": epsilons, "terminal_relative_error": errors})
+    columns = {"epsilon": [_fmt(e) for e in result.epsilons]}
+    for name, errs in result.terminal_errors.items():
+        columns[f"{name}_terminal_relerr"] = [_fmt(v) for v in errs]
+    return _csv(columns)
 
 
 def _load(path: str) -> Scenario:
@@ -156,71 +125,20 @@ def _load(path: str) -> Scenario:
 
 def _cmd_validate(args) -> int:
     try:
-        with open(args.scenario, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                print(f"not valid JSON: {exc}")
-                return EXIT_SCHEMA
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    diagnostics = validate_scenario_dict(data)
-    for line in diagnostics:
-        print(line)
-    return EXIT_SCHEMA if diagnostics else EXIT_OK
-
-
-def _cmd_run(args) -> int:
-    stem = Path(args.scenario).stem
-    try:
-        scenario = _load(args.scenario)
+        load_scenario(args.scenario)
     except ScenarioError as exc:
         for line in exc.diagnostics:
-            print(line, file=sys.stderr)
+            print(line)
         return EXIT_SCHEMA
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    try:
-        table = compare_methods(
-            scenario.spec, scenario.initial, scenario.methods, root_tol=args.tolerance
-        )
-        sweep = None
-        if scenario.epsilon_sweep:
-            sweep = epsilon_sweep(
-                scenario.spec,
-                scenario.initial,
-                scenario.methods,
-                scenario.epsilon_sweep,
-                root_tol=args.tolerance,
-            )
-    except RecurrenceError as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA
-
-    outdir, fmt = _resolve_output(scenario, args)
-    try:
-        _atomic_write(outdir / f"{stem}_trajectory.{fmt}", _trajectory_tables(table, fmt))
-        _atomic_write(outdir / f"{stem}_errors.{fmt}", _error_tables(table, fmt))
-        _atomic_write(
-            outdir / f"{stem}_resolved.json",
-            json.dumps(resolved_dict(scenario), indent=2) + "\n",
-        )
-        if sweep is not None:
-            _atomic_write(outdir / f"{stem}_sweep.{fmt}", _sweep_table(sweep, fmt))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {stem}_trajectory.{fmt}, {stem}_errors.{fmt} to {outdir}")
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _execute(args, sweep_only: bool) -> int:
+    """``run`` and ``sweep``: load, compute everything, then format and
+    write one file at a time (only one output text is held at once)."""
     stem = Path(args.scenario).stem
     try:
         scenario = _load(args.scenario)
@@ -232,21 +150,23 @@ def _cmd_sweep(args) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    epsilons = args.epsilons if args.epsilons else scenario.epsilon_sweep
-    if not epsilons:
-        print(
-            "no sweep values: scenario has no 'epsilon_sweep' and no --epsilons given",
-            file=sys.stderr,
-        )
-        return EXIT_SCHEMA
+    epsilons = scenario.epsilon_sweep
+    if sweep_only:
+        epsilons = args.epsilons if args.epsilons else epsilons
+        if not epsilons:
+            print(
+                "no sweep values: scenario has no 'epsilon_sweep' and no --epsilons given",
+                file=sys.stderr,
+            )
+            return EXIT_SCHEMA
+    spec, initial, methods = scenario.spec, scenario.initial, scenario.methods
     try:
-        sweep = epsilon_sweep(
-            scenario.spec,
-            scenario.initial,
-            scenario.methods,
-            epsilons,
-            root_tol=args.tolerance,
-        )
+        table = None
+        if not sweep_only:
+            table = compare_methods(spec, initial, methods, root_tol=args.tolerance)
+        sweep = None
+        if epsilons:
+            sweep = epsilon_sweep(spec, initial, methods, epsilons, root_tol=args.tolerance)
     except RecurrenceError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -254,13 +174,29 @@ def _cmd_sweep(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
 
-    outdir, fmt = _resolve_output(scenario, args)
+    outdir = Path(args.output_dir) if args.output_dir else Path(scenario.output_path)
+    fmt = args.format if args.format else scenario.output_format
+    files = []  # (file name, formatter) in writing order
+    if table is not None:
+        files += [
+            (f"{stem}_trajectory.{fmt}", lambda: _trajectory_tables(table, fmt)),
+            (f"{stem}_errors.{fmt}", lambda: _error_tables(table, fmt)),
+            (
+                f"{stem}_resolved.json",
+                lambda: json.dumps(resolved_dict(scenario), indent=2) + "\n",
+            ),
+        ]
+    if sweep is not None:
+        files.append((f"{stem}_sweep.{fmt}", lambda: _sweep_table(sweep, fmt)))
     try:
-        _atomic_write(outdir / f"{stem}_sweep.{fmt}", _sweep_table(sweep, fmt))
+        for name, text in files:
+            _atomic_write(outdir / name, text())
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {stem}_sweep.{fmt} to {outdir}")
+    # ``run`` names its two tables, ``sweep`` its one
+    named = [name for name, _ in files[: 1 if sweep_only else 2]]
+    print(f"wrote {', '.join(named)} to {outdir}")
     return EXIT_OK
 
 
@@ -361,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario and write result tables")
     p_run.add_argument("scenario")
     common(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=partial(_execute, sweep_only=False))
 
     p_val = sub.add_parser("validate", help="list scenario diagnostics, run nothing")
     p_val.add_argument("scenario")
@@ -377,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the scenario's epsilon_sweep list",
     )
     common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=partial(_execute, sweep_only=True))
 
     p_gen = sub.add_parser("generate", help="emit a random well-posed scenario")
     p_gen.add_argument("--order", type=int, default=3)

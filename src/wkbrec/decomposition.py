@@ -16,9 +16,10 @@ gauge at k, and the last row of H folds the recurrence coefficients through
 the gauge.  The transformation is exact for every admissible gauge; the gauge
 only changes how the solution is split, never the reconstructed sum.
 
-Linear systems are solved per step by partial-pivot elimination
-(``numpy.linalg.solve``) rather than by forming an explicit inverse; each
-solve is residual-checked.
+Linear systems are solved by partial-pivot elimination
+(``numpy.linalg.solve``), never by an explicit inverse, for a stack of
+indices at once: the step matrices and forcing terms of a whole run come
+from one solve, and every solve is residual-checked.
 """
 
 from __future__ import annotations
@@ -67,9 +68,7 @@ class GaugeSet:
 
     def admissibility(self) -> float:
         """``|det|`` of the stacked matrix relative to its Hadamard bound."""
-        a = self.stacked()
-        scale = float(np.prod(np.linalg.norm(a, axis=0)))
-        return abs(np.linalg.det(a)) / scale
+        return float(_admissibility(self.stacked()))
 
     def is_admissible(self, threshold: float = ADMISSIBILITY_THRESHOLD) -> bool:
         return self.admissibility() > threshold
@@ -100,33 +99,75 @@ class StepMatrices:
     T: np.ndarray
 
 
-def _checked_stacked(gauge: GaugeSet) -> np.ndarray:
-    if not gauge.is_admissible():
+def _admissibility(a: np.ndarray) -> np.ndarray:
+    """``|det|`` of each stacked matrix (last two axes) over its Hadamard bound."""
+    return np.abs(np.linalg.det(a)) / np.prod(np.linalg.norm(a, axis=-2), axis=-1)
+
+
+def _check_admissible(a: np.ndarray, ks) -> None:
+    """Raise :class:`SingularGauge` at the lowest index of ``ks`` whose
+    stacked gauge matrix in ``a`` ``(W, N, N)`` is not admissible."""
+    adm = _admissibility(a)
+    bad = ~(adm > ADMISSIBILITY_THRESHOLD)
+    if bad.any():
+        t = int(np.argmax(bad))
         raise SingularGauge(
-            f"gauge admissibility {gauge.admissibility():.3e} below threshold",
-            k=gauge.k,
+            f"gauge admissibility {adm[t]:.3e} below threshold", k=int(ks[t])
         )
-    return gauge.stacked()
 
 
-def _residual_checked_solve(a: np.ndarray, b: np.ndarray, k: int | None):
+def _residual_checked_solve(a: np.ndarray, b: np.ndarray, ks) -> np.ndarray:
+    """Solve ``a[t] x[t] = b[t]``, ``a`` ``(W, N, N)``, ``b`` ``(W, N[, M])``;
+    raise :class:`SingularGauge` at the lowest index of ``ks`` whose solve
+    fails or leaves a residual above ``SOLVE_RESIDUAL_TOL * max|b[t]|``."""
+    vector = b.ndim == 2
+    b = b[..., None] if vector else b
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularGauge(f"linear solve failed: {exc}", k=k) from exc
-    residual = np.max(np.abs(a @ x - b))
-    scale = max(float(np.max(np.abs(b))), _TINY)
-    if residual > SOLVE_RESIDUAL_TOL * scale:
+        if len(a) == 1:
+            raise SingularGauge(f"linear solve failed: {exc}", k=int(ks[0])) from exc
+        for t in range(len(a)):  # one system at a time: the lowest failure raises
+            _residual_checked_solve(a[t : t + 1], b[t : t + 1], ks[t : t + 1])
+        raise
+    residual = np.abs(a @ x - b).max(axis=(1, 2))
+    scale = np.maximum(np.abs(b).max(axis=(1, 2)), _TINY)
+    bad = residual > SOLVE_RESIDUAL_TOL * scale
+    if bad.any():
+        t = int(np.argmax(bad))
         raise SingularGauge(
-            f"solve residual {residual / scale:.3e} above {SOLVE_RESIDUAL_TOL:g}",
-            k=k,
+            f"solve residual {residual[t] / scale[t]:.3e} above {SOLVE_RESIDUAL_TOL:g}",
+            k=int(ks[t]),
         )
-    return x
+    return x[..., 0] if vector else x
+
+
+def _fold(g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """:func:`build_H` for stacks: ``g`` ``(..., N-1, N)``, ``f`` ``(..., N)``."""
+    last = -(f[..., None, 1:] @ g + f[..., None, :1])
+    return np.concatenate([g, last], axis=-2)
+
+
+def _step_arrays(G: np.ndarray, f: np.ndarray, forcing: np.ndarray, ks):
+    """``T`` ``(H, N, N)`` and ``push`` ``(H, N)`` of the exact steps
+    ``Y[k+1] = T[k] Y[k] + push[k]``, from the stacked gauge matrices ``G``
+    ``(H+1, N, N)`` at ``ks`` and the coefficients ``f`` ``(H, N)`` and
+    forcing ``(H,)`` at ``ks[:-1]``: one solve ``M [T | c] = [H | e_N]``,
+    and ``push = -f(k) c``."""
+    n = G.shape[-1]
+    _check_admissible(G, ks)
+    e_n = np.zeros((len(f), n, 1), dtype=complex)
+    e_n[:, -1] = 1.0
+    rhs = np.concatenate([_fold(G[:-1, 1:], f), e_n], axis=-1)
+    x = _residual_checked_solve(G[1:], rhs, ks[1:])
+    return x[..., :n], -forcing[:, None] * x[..., n]
 
 
 def build_M(gauge_next: GaugeSet) -> np.ndarray:
     """Left-hand matrix of the step: ones row, then the gauge rows at k+1."""
-    return _checked_stacked(gauge_next)
+    a = gauge_next.stacked()
+    _check_admissible(a[None], [gauge_next.k])
+    return a
 
 
 def build_H(gauge_now: GaugeSet, coeffs) -> np.ndarray:
@@ -144,10 +185,7 @@ def build_H(gauge_now: GaugeSet, coeffs) -> np.ndarray:
     n = gauge_now.order
     if f.shape != (n,):
         raise ValueError(f"expected {n} coefficients, got {f.shape}")
-    h = np.empty((n, n), dtype=complex)
-    h[: n - 1] = gauge_now.g
-    h[n - 1] = -(f[1:] @ gauge_now.g + f[0])
-    return h
+    return _fold(gauge_now.g, f)
 
 
 def decompose_initial(scalar_values, gauge: GaugeSet) -> ComponentVector:
@@ -159,8 +197,8 @@ def decompose_initial(scalar_values, gauge: GaugeSet) -> ComponentVector:
     b = np.asarray(scalar_values, dtype=complex)
     if b.shape != (gauge.order,):
         raise ValueError(f"expected {gauge.order} scalar values, got {b.shape}")
-    a = _checked_stacked(gauge)
-    return ComponentVector(k=gauge.k, y=_residual_checked_solve(a, b, gauge.k))
+    y = _residual_checked_solve(build_M(gauge)[None], b[None], [gauge.k])
+    return ComponentVector(k=gauge.k, y=y[0])
 
 
 def step(
@@ -183,7 +221,8 @@ def step(
     m = build_M(gauge_next)
     rhs = build_H(gauge_now, coeffs) @ Y.y
     rhs[-1] -= forcing
-    return ComponentVector(k=Y.k + 1, y=_residual_checked_solve(m, rhs, Y.k + 1))
+    y = _residual_checked_solve(m[None], rhs[None], [Y.k + 1])
+    return ComponentVector(k=Y.k + 1, y=y[0])
 
 
 def reconstruct(Y: ComponentVector) -> complex:
@@ -199,18 +238,7 @@ def transfer_matrix(gauge_now: GaugeSet, gauge_next: GaugeSet, coeffs) -> np.nda
     """
     m = build_M(gauge_next)
     h = build_H(gauge_now, coeffs)
-    try:
-        t = np.linalg.solve(m, h)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGauge(f"linear solve failed: {exc}", k=gauge_next.k) from exc
-    residual = np.max(np.abs(m @ t - h))
-    scale = max(float(np.max(np.abs(h))), _TINY)
-    if residual > SOLVE_RESIDUAL_TOL * scale:
-        raise SingularGauge(
-            f"transfer-matrix residual {residual / scale:.3e} above tolerance",
-            k=gauge_next.k,
-        )
-    return t
+    return _residual_checked_solve(m[None], h[None], [gauge_next.k])[0]
 
 
 def step_matrices(gauge_now: GaugeSet, gauge_next: GaugeSet, coeffs) -> StepMatrices:

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import RecurrenceSpec
-from .decomposition import GaugeSet
+from .decomposition import ComponentVector, GaugeSet
 from .errors import (
     AmbiguousTracking,
     DegenerateRoots,
@@ -102,19 +102,44 @@ def root_residuals(coeffs, roots) -> np.ndarray:
     return np.abs(_polyval(c, np.asarray(roots, dtype=complex)))
 
 
+def _differences(a: np.ndarray, b: np.ndarray, diagonal: complex) -> np.ndarray:
+    """``a[i] - b[j]`` over the last axis, with ``diagonal`` where i == j."""
+    n = a.shape[-1]
+    diff = a[..., :, None] - b[..., None, :]
+    diff[..., np.arange(n), np.arange(n)] = diagonal
+    return diff
+
+
+def _separations(roots: np.ndarray) -> np.ndarray:
+    """Smallest pairwise distance within each root set (last axis)."""
+    return np.abs(_differences(roots, roots, np.inf)).min(axis=(-2, -1))
+
+
 def min_separation(roots) -> float:
-    roots = np.asarray(roots, dtype=complex)
-    diff = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
+    return float(_separations(np.asarray(roots, dtype=complex)))
 
 
-def _check_separation(frame: RootFrame) -> None:
-    """Raise :class:`DegenerateRoots` unless the frame's roots are pairwise
-    farther apart than :data:`SEPARATION_THRESHOLD` times the largest one."""
-    roots = frame.roots
-    if min_separation(roots) <= SEPARATION_THRESHOLD * float(np.max(np.abs(roots))):
-        raise DegenerateRoots("root separation below threshold", k=frame.k)
+def _check_separation(roots: np.ndarray, ks) -> None:
+    """Raise :class:`DegenerateRoots` at the lowest index of ``ks`` whose
+    root set (a row of the ``(W, N)`` table ``roots``) has two roots no
+    farther apart than :data:`SEPARATION_THRESHOLD` times its largest one."""
+    bad = _separations(roots) <= SEPARATION_THRESHOLD * np.abs(roots).max(axis=-1)
+    if bad.any():
+        raise DegenerateRoots("root separation below threshold", k=int(ks[np.argmax(bad)]))
+
+
+def _frames_checked(Y: ComponentVector, frame_now: RootFrame, frame_next: RootFrame):
+    """Roots at k and k+1 of a step from ``Y``, once the frames are checked
+    for order, for bracketing ``Y.k`` and for separation."""
+    if frame_now.order != Y.order or frame_next.order != Y.order:
+        raise ValueError("frame orders do not match the component vector")
+    if frame_now.k != Y.k or frame_next.k != Y.k + 1:
+        raise ValueError(
+            f"frame indices ({frame_now.k}, {frame_next.k}) do not bracket k={Y.k}"
+        )
+    roots = np.stack([frame_now.roots, frame_next.roots])
+    _check_separation(roots, [Y.k, Y.k + 1])
+    return roots[0], roots[1]
 
 
 def _prepare_seed(z: np.ndarray, radius: float) -> np.ndarray:
@@ -122,8 +147,12 @@ def _prepare_seed(z: np.ndarray, radius: float) -> np.ndarray:
     # terms, and exactly real iterates of a real polynomial can never reach
     # a complex-conjugate pair (the real axis is an invariant subspace of
     # the iteration).  A deterministic, branch-dependent nudge off the real
-    # axis breaks both; it costs at most a couple of extra sweeps.
-    z = z + 1j * 1e-8 * radius * (np.arange(len(z)) + 1.0)
+    # axis breaks both; it costs at most a couple of extra sweeps.  The
+    # nudge stays well below each seed's distance to its nearest neighbour,
+    # so a close pair the seed resolves is not merged before the first sweep.
+    spacing = np.abs(_differences(z, z, np.inf)).min(axis=-1)
+    nudge = np.minimum(1e-8 * radius, 1e-3 * spacing)
+    z = z + 1j * nudge * (np.arange(len(z)) + 1.0)
     for i in range(1, len(z)):
         while np.min(np.abs(z[:i] - z[i])) < 1e-14 * radius:
             z[i] += (i + 1) * 1e-7 * radius * (0.6 + 0.8j)
@@ -137,12 +166,9 @@ def _aberth_update(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:
     polynomial and of its derivative.  An entry is non-finite where the
     derivative vanishes or two iterates coincide.
     """
-    n = z.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = _polyval(c, z) / _polyval(dc, z)
-        diff = z[..., :, None] - z[..., None, :]
-        diff[..., np.arange(n), np.arange(n)] = np.inf
-        repulsion = (1.0 / diff).sum(axis=-1)
+        repulsion = (1.0 / _differences(z, z, np.inf)).sum(axis=-1)
         denom = 1.0 - ratio * repulsion
         return np.where(denom == 0, ratio, ratio / denom)
 
@@ -271,6 +297,17 @@ def track_branches(prev: RootFrame, new_roots, residuals=None) -> RootFrame:
     return RootFrame(k=prev.k + 1, roots=new[best], residuals=new_res)
 
 
+def _vandermonde(roots: np.ndarray) -> np.ndarray:
+    """Power-gauge matrices, row m = 0 .. N-1 holding ``roots**m``, per root set."""
+    return roots[..., None, :] ** np.arange(roots.shape[-1])[:, None]
+
+
+def _spread(R: np.ndarray) -> np.ndarray:
+    """``1 / prod_{m != i} (R[i] - R[m])`` per root set: the last column of
+    the inverse Vandermonde matrix, which spreads the forcing over branches."""
+    return 1.0 / _differences(R, R, 1.0).prod(axis=-1)
+
+
 def power_gauge(frame: RootFrame) -> GaugeSet:
     """Gauge rows ``g[m,n] = roots[n]**m`` for m = 1 .. N-1.
 
@@ -279,10 +316,8 @@ def power_gauge(frame: RootFrame) -> GaugeSet:
     :data:`SEPARATION_THRESHOLD` times the largest magnitude raise
     :class:`DegenerateRoots`.
     """
-    _check_separation(frame)
-    roots = frame.roots
-    g = roots[None, :] ** np.arange(1, len(roots))[:, None]
-    return GaugeSet(k=frame.k, g=g)
+    _check_separation(frame.roots[None], [frame.k])
+    return GaugeSet(k=frame.k, g=_vandermonde(frame.roots)[1:])
 
 
 def sigma_excluding(roots, i: int) -> np.ndarray:
@@ -319,7 +354,7 @@ def vandermonde_inverse(frame: RootFrame) -> np.ndarray:
     which is the coefficient of x**j in the i-th Lagrange cardinal polynomial
     on the roots.  Requires pairwise distinct roots.
     """
-    _check_separation(frame)
+    _check_separation(frame.roots[None], [frame.k])
     roots = frame.roots
     n = len(roots)
     signs = (-1.0) ** np.arange(n)

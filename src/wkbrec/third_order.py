@@ -23,7 +23,7 @@ import numpy as np
 from .core import RecurrenceSpec, ScalarTrajectory
 from .decomposition import ComponentVector, GaugeSet
 from .errors import Breakdown, DegenerateRoots
-from .roots import SEPARATION_THRESHOLD, RootFrame, _check_separation
+from .roots import SEPARATION_THRESHOLD, RootFrame, _differences, _frames_checked, _spread
 
 # Denominator threshold for the ratio recursion, scaled by coefficient size.
 RICCATI_BREAKDOWN_TOL = 1e-12
@@ -61,22 +61,18 @@ def x_terms(gauge: GaugeSet, coeffs) -> XTerms:
     return XTerms(*quad, *cubic)
 
 
-def _frames_checked(Y: ComponentVector, frame_now: RootFrame, frame_next: RootFrame):
-    if frame_now.order != 3 or frame_next.order != 3 or Y.order != 3:
-        raise ValueError("third-order step requires order 3 throughout")
-    if frame_now.k != Y.k or frame_next.k != Y.k + 1:
-        raise ValueError(
-            f"frame indices ({frame_now.k}, {frame_next.k}) do not bracket k={Y.k}"
-        )
-    _check_separation(frame_now)
-    _check_separation(frame_next)
-    return frame_now.roots, frame_next.roots
+def _explicit3_matrix(r: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Step matrices of :func:`explicit_step`, roots ``r`` at k, ``R`` at k+1."""
+    S = R[..., [1, 2, 0]] + R[..., [2, 0, 1]]
+    coupling = (S[..., :, None] - (R + r)[..., None, :]) * (r * (R - r))[..., None, :]
+    t = _spread(R)[..., :, None] * coupling
+    t[..., np.arange(3), np.arange(3)] += r
+    return t
 
 
-def _signed_differences(R: np.ndarray) -> tuple[np.ndarray, complex]:
-    delta = np.array([R[2] - R[1], R[0] - R[2], R[1] - R[0]])
-    D = (R[1] - R[0]) * (R[2] - R[0]) * (R[2] - R[1])
-    return delta, D
+def _wkb3_gain(r: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Multipliers of :func:`wkb3_step`, roots ``r`` at k, ``R`` at k+1."""
+    return r * (1.0 - (R - r) * (1.0 / _differences(R, R, np.inf)).sum(axis=-1))
 
 
 def explicit_step(
@@ -98,16 +94,11 @@ def explicit_step(
     derivation of the generic solve-based step and must agree with it to
     rounding; the test suite pins that equivalence.
     """
+    if Y.order != 3:
+        raise ValueError("third-order step requires order 3 throughout")
     r, R = _frames_checked(Y, frame_now, frame_next)
-    delta, D = _signed_differences(R)
-    S = np.array([R[2] + R[1], R[0] + R[2], R[1] + R[0]])
-    out = np.empty(3, dtype=complex)
-    for i in range(3):
-        acc = r[i] * Y.y[i]
-        for j in range(3):
-            acc += Y.y[j] * r[j] * (R[j] - r[j]) * delta[i] * (S[i] - (R[j] + r[j])) / D
-        out[i] = acc - f_k * delta[i] / D
-    return ComponentVector(k=Y.k + 1, y=out)
+    y = _explicit3_matrix(r, R) @ Y.y - f_k * _spread(R)
+    return ComponentVector(k=Y.k + 1, y=y)
 
 
 def wkb3_step(
@@ -128,13 +119,11 @@ def wkb3_step(
     with the exact one; for slowly varying coefficients the neglected terms
     are of second order in the increments.
     """
+    if Y.order != 3:
+        raise ValueError("third-order step requires order 3 throughout")
     r, R = _frames_checked(Y, frame_now, frame_next)
-    delta, D = _signed_differences(R)
-    out = np.empty(3, dtype=complex)
-    for i in range(3):
-        coupling = sum(1.0 / (R[i] - R[m]) for m in range(3) if m != i)
-        out[i] = r[i] * Y.y[i] * (1.0 - (R[i] - r[i]) * coupling) - f_k * delta[i] / D
-    return ComponentVector(k=Y.k + 1, y=out)
+    y = _wkb3_gain(r, R) * Y.y - f_k * _spread(R)
+    return ComponentVector(k=Y.k + 1, y=y)
 
 
 def riccati_residual(p_k: complex, p_k1: complex, p_k2: complex, coeffs) -> complex:

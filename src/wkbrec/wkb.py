@@ -11,37 +11,46 @@ is the slowly-varying (WKB) approximation for arbitrary order.
 :func:`compare_methods` runs any subset of the named propagation methods on
 one problem and tabulates per-step relative errors against the scalar
 recursion oracle; :func:`epsilon_sweep` repeats that over a list of
-slow-variation parameters.
+slow-variation parameters.  There each decomposed method is two arrays over
+the ``(H+1, N)`` table of tracked roots, the step matrices ``T`` (or their
+diagonals) and the forcing terms ``push``, fed to one chain
+``Y[k+1] = T[k] Y[k] + push[k]``; the per-step functions are its references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import RecurrenceSpec, companion_propagate, direct_solve
 from .decomposition import (
     ComponentVector,
+    GaugeSet,
     _residual_checked_solve,
+    _step_arrays,
     build_M,
     decompose_initial,
-    propagate,
-    reconstruct,
 )
-from .errors import RecurrenceError
+from .errors import Breakdown, RecurrenceError
 from .roots import (
     DEFAULT_ROOT_TOL,
     RootFrame,
+    _check_separation,
+    _differences,
+    _frames_checked,
+    _spread,
+    _vandermonde,
     power_gauge,
     root_frames,
     vandermonde_inverse,
 )
 from .third_order import (
-    explicit_step,
+    _explicit3_matrix,
+    _wkb3_gain,
     oracle_ratio_branch,
     riccati_gauge,
-    wkb3_step,
 )
 
 METHOD_NAMES = (
@@ -74,21 +83,6 @@ class WkbStepReport:
     k: int
 
 
-def _powers_matrix(frame: RootFrame) -> np.ndarray:
-    """Column n holds ``(rho[n], rho[n]**2, ..., rho[n]**N)``."""
-    n = frame.order
-    return frame.roots[None, :] ** np.arange(1, n + 1)[:, None]
-
-
-def _frames_checked(Y: ComponentVector, frame_now: RootFrame, frame_next: RootFrame):
-    if frame_now.order != Y.order or frame_next.order != Y.order:
-        raise ValueError("frame orders do not match the component vector")
-    if frame_now.k != Y.k or frame_next.k != Y.k + 1:
-        raise ValueError(
-            f"frame indices ({frame_now.k}, {frame_next.k}) do not bracket k={Y.k}"
-        )
-
-
 def exact_step_general(
     Y: ComponentVector, frame_now: RootFrame, frame_next: RootFrame
 ) -> ComponentVector:
@@ -101,22 +95,26 @@ def exact_step_general(
     """
     _frames_checked(Y, frame_now, frame_next)
     m = build_M(power_gauge(frame_next))
-    rhs = _powers_matrix(frame_now) @ Y.y
-    return ComponentVector(k=Y.k + 1, y=_residual_checked_solve(m, rhs, Y.k + 1))
+    rhs = (frame_now.roots * _vandermonde(frame_now.roots)) @ Y.y
+    y = _residual_checked_solve(m[None], rhs[None], [Y.k + 1])
+    return ComponentVector(k=Y.k + 1, y=y[0])
+
+
+def _wkb_gain(r: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Diagonal power-gauge gains ``r[i] prod_{m != i} (r[i]-R[m]) / (R[i]-R[m])``
+    for root sets ``r`` at k and ``R`` at k+1 (last axis)."""
+    return r * (_differences(r, R, 1.0) / _differences(R, R, 1.0)).prod(axis=-1)
 
 
 def wkb_diagonal_gain(frame_now: RootFrame, frame_next: RootFrame) -> np.ndarray:
     """Exact diagonal of the power-gauge one-step matrix.
 
-    Entry i is ``sum_j Minv[i, j] * rho_now[i]**(j+1)`` with the closed-form
-    Vandermonde inverse at k+1; equivalently ``rho_now[i]`` times the i-th
-    Lagrange cardinal polynomial on the k+1 roots evaluated at
-    ``rho_now[i]``, so it reduces to ``rho[i]`` itself when the frames
-    coincide.
-    """
-    minv = vandermonde_inverse(frame_next)
-    powers = _powers_matrix(frame_now)
-    return np.einsum("ij,ji->i", minv, powers)
+    Entry i is ``sum_j Minv[i, j] * rho_now[i]**(j+1)`` with the Vandermonde
+    inverse at k+1, computed as ``rho_now[i]`` times the i-th Lagrange
+    cardinal polynomial on the k+1 roots at ``rho_now[i]``; it reduces to
+    ``rho[i]`` when the frames coincide."""
+    _check_separation(frame_next.roots[None], [frame_next.k])
+    return _wkb_gain(frame_now.roots, frame_next.roots)
 
 
 def wkb_step_general(
@@ -131,7 +129,7 @@ def wkb_step_general(
     """
     _frames_checked(Y, frame_now, frame_next)
     minv = vandermonde_inverse(frame_next)
-    t = minv @ _powers_matrix(frame_now)
+    t = minv @ (frame_now.roots * _vandermonde(frame_now.roots))
     gain = np.diag(t).copy()
     off = t - np.diag(gain)
     report = WkbStepReport(
@@ -161,110 +159,79 @@ class SweepResult:
     terminal_errors: dict[str, np.ndarray]
 
 
-class _Frames:
-    """The root frames of one problem, computed on first use and shared by
-    every driver of one :func:`compare_methods` call."""
-
-    def __init__(self, spec: RecurrenceSpec, tol: float):
-        self.spec = spec
-        self.tol = tol
-        self._all: list[RootFrame] | None = None
-
-    def all(self) -> list[RootFrame]:
-        """Frames for ``k_start .. k_start + horizon``."""
-        if self._all is None:
-            self._all = root_frames(self.spec, tol=self.tol)
-        return self._all
-
-    def first(self) -> RootFrame:
-        """The frame at ``k_start``, without sampling the window for it."""
-        if self._all is not None:
-            return self._all[0]
-        k = self.spec.k_start
-        return root_frames(self.spec, k, k, tol=self.tol)[0]
+def _chain(Y0: np.ndarray, T: np.ndarray, push: np.ndarray) -> np.ndarray:
+    """Sums ``y[s]`` of the chain ``Y[s+1] = T[s] Y[s] + push[s]`` from ``Y0``;
+    ``T`` holds the step matrices ``(H, N, N)`` or their diagonals ``(H, N)``."""
+    if T.ndim == 2:
+        T = T[..., None] * np.eye(T.shape[1])
+    Y = np.empty((len(T) + 1, len(Y0)), dtype=complex)
+    Y[0] = Y0
+    for s in range(len(T)):
+        Y[s + 1] = T[s] @ Y[s] + push[s]
+    return Y.sum(axis=1)
 
 
-def _run_direct(spec, initial, frames):
-    return direct_solve(spec, initial).values[: spec.horizon + 1]
+def _run_power_gauge(spec, initial, roots, kernel=None):
+    """A power-gauge method over the ``(H+1, N)`` root table: ``kernel(r, R)``
+    gives the step matrices or diagonals from the roots at k and k+1 (the
+    forcing is spread by :func:`_spread`); no kernel means the exact step."""
+    ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
+    _check_separation(roots, ks)
+    gauge = GaugeSet(k=spec.k_start, g=_vandermonde(roots[0])[1:])
+    Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge)
+    forcing = np.array([spec.forcing_value(k) for k in ks[:-1]], dtype=complex)
+    if kernel is None:
+        f = np.array([spec.coeff_array(k) for k in ks[:-1]], dtype=complex)
+        T, push = _step_arrays(_vandermonde(roots), f, forcing, ks)
+    else:
+        T, push = kernel(roots[:-1], roots[1:]), -forcing[:, None] * _spread(roots[1:])
+    return _chain(Y0.y, T, push)
 
 
-def _run_companion(spec, initial, frames):
+def _run_companion(spec, initial, roots):
     return companion_propagate(spec, initial).values[: spec.horizon + 1]
 
 
-def _run_gauge_exact(spec, initial, frames):
-    gauges = [power_gauge(f) for f in frames.all()]
-    values, _ = propagate(spec, initial, gauges)
-    return values
-
-
-def _reconstruct_chain(spec, initial, frames, advance):
-    frames = frames.all()
-    Y = decompose_initial(np.asarray(initial, dtype=complex), power_gauge(frames[0]))
-    values = np.empty(spec.horizon + 1, dtype=complex)
-    values[0] = reconstruct(Y)
-    for s in range(spec.horizon):
-        Y = advance(Y, frames[s], frames[s + 1], s)
-        values[s + 1] = reconstruct(Y)
-    return values
-
-
-def _run_explicit3(spec, initial, frames):
-    def advance(Y, f_now, f_next, s):
-        return explicit_step(Y, f_now, f_next, spec.forcing_value(spec.k_start + s))
-
-    return _reconstruct_chain(spec, initial, frames, advance)
-
-
-def _run_wkb3(spec, initial, frames):
-    def advance(Y, f_now, f_next, s):
-        return wkb3_step(Y, f_now, f_next, spec.forcing_value(spec.k_start + s))
-
-    return _reconstruct_chain(spec, initial, frames, advance)
-
-
-def _run_wkb_general(spec, initial, frames):
-    def advance(Y, f_now, f_next, s):
-        return wkb_step_general(Y, f_now, f_next)[0]
-
-    return _reconstruct_chain(spec, initial, frames, advance)
-
-
-def _run_riccati(spec, initial, frames):
-    # Three independent scalar solutions seeded branchwise from the roots at
-    # the start of the window; their ratio sequences decouple the system and
-    # the solution telescopes into branch products (the running products of
-    # :func:`product_solution`, accumulated once per branch).
-    rho = frames.first().roots
-    branches = []
-    for n in range(3):
-        window = np.array([1.0, rho[n], rho[n] ** 2], dtype=complex)
-        traj = direct_solve(spec, window)
-        branches.append(oracle_ratio_branch(traj, label=n))
+def _run_riccati(spec, initial, roots):
+    # Scalar solutions seeded from each root at the window start; their ratio
+    # sequences decouple the system, so each component is multiplied by its
+    # branch ratio per step (the running products of product_solution).
+    branches = [
+        oracle_ratio_branch(direct_solve(spec, [1.0, rho, rho**2]), label=n)
+        for n, rho in enumerate(roots[0])
+    ]
     gauge0 = riccati_gauge(branches, spec.k_start)
     Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge0)
-    growth = np.ones((3, spec.horizon + 1), dtype=complex)
-    for n, branch in enumerate(branches):
-        growth[n, 1:] = np.cumprod(branch.p1[: spec.horizon])
-    return (Y0.y[:, None] * growth).sum(axis=0)
+    gains = np.stack([b.p1[: spec.horizon] for b in branches], axis=1)
+    return _chain(Y0.y, gains, np.zeros_like(gains))
 
 
+# ``direct`` is the oracle itself; every other method maps to a driver
+# ``(spec, initial, roots) -> values`` over the table of tracked roots.
 _DRIVERS = {
-    "direct": _run_direct,
     "companion": _run_companion,
-    "gauge-exact": _run_gauge_exact,
-    "explicit3": _run_explicit3,
-    "wkb3": _run_wkb3,
+    "gauge-exact": _run_power_gauge,
+    "explicit3": partial(_run_power_gauge, kernel=_explicit3_matrix),
+    "wkb3": partial(_run_power_gauge, kernel=_wkb3_gain),
     "riccati": _run_riccati,
-    "wkb-general": _run_wkb_general,
+    "wkb-general": partial(_run_power_gauge, kernel=_wkb_gain),
 }
+# Methods that step through the roots of every index; riccati needs only
+# the first index.
+_FRAME_METHODS = frozenset({"gauge-exact", "explicit3", "wkb3", "wkb-general"})
+
+
+def _check_finite(values: np.ndarray, ks: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise Breakdown(f"{what}: non-finite value", k=int(ks[np.argmax(bad)]))
 
 
 def check_methods(spec: RecurrenceSpec, methods) -> list[str]:
     """Validate a method list against the problem; returns the problems found."""
     issues = []
     for name in methods:
-        if name not in _DRIVERS:
+        if name not in METHOD_NAMES:
             issues.append(f"unknown method '{name}' (known: {', '.join(METHOD_NAMES)})")
             continue
         if name in THIRD_ORDER_METHODS and spec.order != 3:
@@ -286,12 +253,12 @@ def compare_methods(
 ) -> ComparisonTable:
     """Run the requested methods and tabulate errors against the oracle.
 
-    Method order is preserved (duplicates dropped); the oracle is always the
-    scalar recursion.  The root frames are computed once, when the first
-    method needing them runs, and shared by every root-based method
-    (``riccati`` alone needs only the first frame).  Numerical failures
-    inside a method are re-raised with the method name and the failing step
-    index attached.
+    Method order is preserved (duplicates dropped); the oracle is the scalar
+    recursion, which ``direct`` reports as is.  The tracked roots are found
+    once, when the first method needing them runs (``riccati`` alone needs
+    only the first index).  Failures are re-raised with the method name and
+    step index attached; a non-finite value in a method's output, or in the
+    oracle, raises :class:`Breakdown` at the first index holding one.
     """
     ordered = list(dict.fromkeys(methods))
     issues = check_methods(spec, ordered)
@@ -299,17 +266,22 @@ def compare_methods(
         raise ValueError("; ".join(issues))
     ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
     oracle = direct_solve(spec, initial).values[: spec.horizon + 1]
-    frames = _Frames(spec, root_tol)
+    roots = None
     values: dict[str, np.ndarray] = {}
-    rel_errors: dict[str, np.ndarray] = {}
     for name in ordered:
         try:
-            values[name] = _DRIVERS[name](spec, initial, frames)
+            if roots is None and (name in _FRAME_METHODS or name == "riccati"):
+                span = () if _FRAME_METHODS.intersection(ordered) else (spec.k_start,) * 2
+                roots = np.array([f.roots for f in root_frames(spec, *span, tol=root_tol)])
+            driver = _DRIVERS.get(name)
+            values[name] = driver(spec, initial, roots) if driver else oracle
         except RecurrenceError as exc:
             raise type(exc)(
                 f"method '{name}': {exc.message}", k=exc.k, branch=exc.branch
             ) from exc
-        rel_errors[name] = _relative_errors(values[name], oracle)
+        _check_finite(values[name], ks, f"method '{name}'")
+    _check_finite(oracle, ks, "oracle (scalar recursion)")
+    rel_errors = {name: _relative_errors(v, oracle) for name, v in values.items()}
     return ComparisonTable(k=ks, oracle=oracle, values=values, rel_errors=rel_errors)
 
 

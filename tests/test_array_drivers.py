@@ -1,0 +1,273 @@
+"""The array drivers of ``compare_methods`` against per-step reference chains.
+
+Each decomposed method runs in ``compare_methods`` as step arrays over the
+table of tracked roots, fed to one chain.  The references below advance one
+:class:`ComponentVector` at a time, as the per-step functions do: the generic
+exact step through :func:`propagate` under the power gauge, the closed-form
+Vandermonde step :func:`wkb_step_general`, and the hand-expanded third-order
+formulas written out branch by branch.  Driver and reference must agree to
+1e-12 relative, and must fail with the same error at the same index.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wkbrec import (
+    Breakdown,
+    Constant,
+    DegenerateRoots,
+    RecurrenceError,
+    RecurrenceSpec,
+    RootFrame,
+    SingularGauge,
+    Tabulated,
+    compare_methods,
+    decompose_initial,
+    explicit_step,
+    power_gauge,
+    propagate,
+    reconstruct,
+    root_frames,
+    vandermonde_inverse,
+    wkb3_step,
+    wkb_step_general,
+)
+from wkbrec.decomposition import ComponentVector, _residual_checked_solve
+from wkbrec.roots import _spread
+from conftest import sin_family
+
+
+def explicit_step_loops(Y, frame_now, frame_next, f_k):
+    """The hand-expanded order-3 step, branch by branch."""
+    r, R = frame_now.roots, frame_next.roots
+    delta = np.array([R[2] - R[1], R[0] - R[2], R[1] - R[0]])
+    D = (R[1] - R[0]) * (R[2] - R[0]) * (R[2] - R[1])
+    S = np.array([R[2] + R[1], R[0] + R[2], R[1] + R[0]])
+    out = np.empty(3, dtype=complex)
+    for i in range(3):
+        acc = r[i] * Y.y[i]
+        for j in range(3):
+            acc += Y.y[j] * r[j] * (R[j] - r[j]) * delta[i] * (S[i] - (R[j] + r[j])) / D
+        out[i] = acc - f_k * delta[i] / D
+    return ComponentVector(k=Y.k + 1, y=out)
+
+
+def wkb3_step_loops(Y, frame_now, frame_next, f_k):
+    """The linearised diagonal order-3 step, branch by branch."""
+    r, R = frame_now.roots, frame_next.roots
+    delta = np.array([R[2] - R[1], R[0] - R[2], R[1] - R[0]])
+    D = (R[1] - R[0]) * (R[2] - R[0]) * (R[2] - R[1])
+    out = np.empty(3, dtype=complex)
+    for i in range(3):
+        coupling = sum(1.0 / (R[i] - R[m]) for m in range(3) if m != i)
+        out[i] = r[i] * Y.y[i] * (1.0 - (R[i] - r[i]) * coupling) - f_k * delta[i] / D
+    return ComponentVector(k=Y.k + 1, y=out)
+
+
+def wkb_general_step(Y, frame_now, frame_next, f_k):
+    return wkb_step_general(Y, frame_now, frame_next)[0]
+
+
+# the third-order formulas as written out above, and the library's own
+# per-step functions, which also check the frames
+FORMULA_STEPS = {
+    "explicit3": explicit_step_loops,
+    "wkb3": wkb3_step_loops,
+    "wkb-general": wkb_general_step,
+}
+LIBRARY_STEPS = {"explicit3": explicit_step, "wkb3": wkb3_step, "wkb-general": wkb_general_step}
+
+
+def reference_values(spec, initial, method, steps=FORMULA_STEPS):
+    """The method's trajectory, one component vector at a time."""
+    frames = root_frames(spec)
+    if method == "gauge-exact":
+        return propagate(spec, initial, [power_gauge(f) for f in frames])[0]
+    Y = decompose_initial(np.asarray(initial, dtype=complex), power_gauge(frames[0]))
+    values = [reconstruct(Y)]
+    for s in range(spec.horizon):
+        f_k = spec.forcing_value(spec.k_start + s)
+        Y = steps[method](Y, frames[s], frames[s + 1], f_k)
+        values.append(reconstruct(Y))
+    return np.array(values)
+
+
+def outcome(fn):
+    """``fn()``, or ``(error class, k)`` if it raises a library error."""
+    try:
+        return fn()
+    except RecurrenceError as exc:
+        return type(exc), exc.k
+
+
+def drifting_spec(rng, n, eps, forced, horizon=30):
+    """Tabulated order-n spec whose roots drift slowly around separated
+    base values; the forcing, when on, is an arbitrary tabulated sequence."""
+    x = 0.7 * (np.arange(n) - (n - 1) / 2) + 0.3 * rng.random(n)
+    base = x + 1j * rng.uniform(-1.5, 1.5, n)
+    amp = 0.1 * np.exp(2j * np.pi * rng.random(n))
+    ks = np.arange(horizon + n + 1)[:, None]
+    paths = base + amp * np.sin(eps * ks + rng.uniform(0, 2 * np.pi, n))
+    coeffs = np.array([np.poly(row)[::-1][:n] for row in paths])
+    forcing = Constant(0.0)
+    if forced:
+        values = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
+        forcing = Tabulated(values=values, k_first=0)
+    return RecurrenceSpec(
+        order=n,
+        coeffs=tuple(Tabulated(values=coeffs[:, j], k_first=0) for j in range(n)),
+        k_start=0,
+        horizon=horizon,
+        forcing=forcing,
+    )
+
+
+def assert_driver_matches_reference(spec, method, rng):
+    initial = rng.standard_normal(spec.order) + 1j * rng.standard_normal(spec.order)
+    want = reference_values(spec, initial, method)
+    got = compare_methods(spec, initial, [method]).values[method]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+epsilons = st.floats(0.01, 0.2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), seed=seeds, eps=epsilons, forced=st.booleans())
+def test_gauge_exact_matches_generic_steps(n, seed, eps, forced):
+    rng = np.random.default_rng(seed)
+    assert_driver_matches_reference(drifting_spec(rng, n, eps, forced), "gauge-exact", rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), seed=seeds, eps=epsilons)
+def test_wkb_general_matches_vandermonde_steps(n, seed, eps):
+    rng = np.random.default_rng(seed)
+    assert_driver_matches_reference(drifting_spec(rng, n, eps, False), "wkb-general", rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    method=st.sampled_from(["explicit3", "wkb3"]),
+    seed=seeds,
+    eps=epsilons,
+    forced=st.booleans(),
+)
+def test_third_order_drivers_match_branch_formulas(method, seed, eps, forced):
+    rng = np.random.default_rng(seed)
+    assert_driver_matches_reference(drifting_spec(rng, 3, eps, forced), method, rng)
+
+
+def squeeze_spec(n, k0, center):
+    """A root pair at ``center`` whose separation drops from 0.5 to 1e-5 at
+    k0, beside fixed roots from 3 upwards and one at 1e4 that sets the
+    separation threshold (1e-4): the pair stays resolved far above rounding
+    and is tracked without a tie, but is degenerate from k0 on."""
+    ks = np.arange(k0 + 8 + n + 1)
+    half = np.where(ks < k0, 0.25, 5e-6)
+    others = 3.0 + 1.3 * np.arange(n - 2)
+    others[-1] = 1e4
+    pair = np.stack([center + half, center - half], axis=1)
+    paths = np.concatenate([pair, np.broadcast_to(others, (len(ks), n - 2))], axis=1)
+    coeffs = np.array([np.poly(row)[::-1][:n] for row in paths])
+    return RecurrenceSpec(
+        order=n,
+        coeffs=tuple(Tabulated(values=coeffs[:, j], k_first=0) for j in range(n)),
+        k_start=0,
+        horizon=len(ks) - n - 1,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    k0=st.integers(1, 6),
+    center=st.floats(1.0, 2.0),
+    method=st.sampled_from(["gauge-exact", "wkb-general", "explicit3", "wkb3"]),
+)
+def test_degenerate_roots_fail_like_the_step_path(n, k0, center, method):
+    if method in ("explicit3", "wkb3"):
+        n = 3
+    spec = squeeze_spec(n, k0, center)
+    initial = np.array([1.0 + 0.5j] * n)
+    want = outcome(lambda: reference_values(spec, initial, method, LIBRARY_STEPS))
+    got = outcome(lambda: compare_methods(spec, initial, [method]))
+    assert want == (DegenerateRoots, k0)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    w=st.integers(1, 12),
+    bad=st.dictionaries(
+        st.integers(0, 11), st.sampled_from(["singular", "inaccurate"]), min_size=1, max_size=3
+    ),
+    k_first=st.integers(-5, 50),
+)
+def test_stacked_solve_names_the_lowest_bad_index(seed, w, bad, k_first):
+    rng = np.random.default_rng(seed)
+    bad = {t: kind for t, kind in bad.items() if t < w} or {w - 1: "singular"}
+    a = 4.0 * np.eye(3) + rng.uniform(-1, 1, (w, 3, 3)) + 1j * rng.uniform(-1, 1, (w, 3, 3))
+    b = rng.standard_normal((w, 3)) + 0j
+    for t, kind in bad.items():
+        if kind == "singular":
+            a[t, 1] = 0.0  # a zero pivot: the solve itself fails
+        else:
+            # x[0] = 1 - 1e17 rounds to -1e17, so the residual is |b|
+            a[t], b[t] = np.eye(3), [1.0, 1.0, 0.0]
+            a[t, 0, 1] = 1e17
+    ks = np.arange(k_first, k_first + w)
+    with pytest.raises(SingularGauge) as info:
+        _residual_checked_solve(a, b, ks)
+    assert info.value.k == ks[min(bad)]
+    good = [t for t in range(w) if t not in bad]
+    if good:
+        x = _residual_checked_solve(a[good], b[good], ks[good])
+        assert np.allclose(np.einsum("tij,tj->ti", a[good], x), b[good])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_spread_is_last_column_of_vandermonde_inverse(n, rng):
+    roots = 0.7 * np.arange(n) + 1j * rng.uniform(-1, 1, n)
+    frame = RootFrame(k=0, roots=roots, residuals=np.zeros(n))
+    want = vandermonde_inverse(frame)[:, -1]
+    assert np.allclose(_spread(roots), want, rtol=1e-12, atol=0)
+    if n == 3:
+        R = roots
+        delta = np.array([R[2] - R[1], R[0] - R[2], R[1] - R[0]])
+        D = (R[1] - R[0]) * (R[2] - R[0]) * (R[2] - R[1])
+        assert np.allclose(_spread(R), delta / D, rtol=1e-14, atol=0)
+
+
+README_INITIAL = np.array([1 + 0.3j, 0.5 - 0.2j, 0.8 + 0.1j])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "methods, name, k",
+    [
+        (["direct", "companion", "gauge-exact"], "direct", 649),
+        (["gauge-exact"], "gauge-exact", 649),
+        (["companion", "wkb3"], "companion", 648),
+    ],
+)
+def test_overflow_is_a_breakdown_naming_method_and_index(methods, name, k):
+    # |rho| ~ 3 on the README family, so the solution leaves double range
+    # near k = 647 of a 2000-step horizon
+    spec = sin_family(epsilon=0.01, horizon=2000)
+    with pytest.raises(Breakdown) as info:
+        compare_methods(spec, README_INITIAL, methods)
+    assert info.value.k == k
+    assert f"method '{name}': non-finite value" in str(info.value)
+
+
+def test_large_finite_values_pass_the_check():
+    # 3**600 ~ 1e286: near the end of double range, but finite
+    spec = sin_family(epsilon=0.01, horizon=600)
+    table = compare_methods(spec, README_INITIAL, ["direct", "gauge-exact"])
+    assert np.max(np.abs(table.oracle)) > 1e250

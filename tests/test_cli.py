@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from wkbrec.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
@@ -297,3 +298,38 @@ class TestGenerate:
         assert a.read_text() != b.read_text()
         main(["generate", "--seed", "1", "--out", str(b)])
         assert a.read_text() == b.read_text()
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_run_exits_numerical_and_writes_nothing(self, tmp_path, capsys):
+        # the README family grows like 3**k and leaves double range at k=649
+        # of a 2000-step horizon: a breakdown, not a table full of NaN
+        outdir = tmp_path / "out"
+        data = sweep_scenario(outdir)
+        for entry in data["coefficients"]:
+            entry["epsilon"] = 0.01
+        data.pop("epsilon_sweep")
+        data.update(
+            horizon=2000,
+            methods=["direct", "companion", "gauge-exact"],
+            output={"path": str(outdir), "format": "json"},
+        )
+        scenario = write_scenario(tmp_path / "long.json", data)
+        assert main(["run", scenario]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "method 'direct': non-finite value at index k=649" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_json_tables_refuse_non_finite_numbers(self):
+        from wkbrec.cli import _error_tables
+        from wkbrec.wkb import ComparisonTable
+
+        k = np.arange(2)
+        table = ComparisonTable(
+            k=k, oracle=np.ones(2), values={}, rel_errors={"direct": np.array([0.0, np.nan])}
+        )
+        with pytest.raises(ValueError):
+            _error_tables(table, "json")
