@@ -40,7 +40,7 @@ from .scenario import (
     resolved_dict,
     validate_scenario_dict,
 )
-from .wkb import ComparisonTable, SweepResult, compare_methods, epsilon_sweep
+from .wkb import ComparisonTable, SweepResult, _check_finite, compare_methods, epsilon_sweep
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -71,8 +71,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _json_text(payload) -> str:
-    # a result table is strict JSON: a NaN or infinity is an error, never a
-    # bare token (compare_methods rejects non-finite values before this)
+    # every written file is strict JSON: a NaN or infinity is an error, never
+    # a bare token (_execute rejects non-finite values before this)
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -167,6 +167,9 @@ def _execute(args, sweep_only: bool) -> int:
         sweep = None
         if epsilons:
             sweep = epsilon_sweep(spec, initial, methods, epsilons, root_tol=args.tolerance)
+        if table is not None:  # the resolved file tabulates N indices past the horizon
+            ks = spec.k_start + np.arange(len(spec.table))
+            _check_finite(spec.table, ks, "coefficient table")
     except RecurrenceError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -181,10 +184,7 @@ def _execute(args, sweep_only: bool) -> int:
         files += [
             (f"{stem}_trajectory.{fmt}", lambda: _trajectory_tables(table, fmt)),
             (f"{stem}_errors.{fmt}", lambda: _error_tables(table, fmt)),
-            (
-                f"{stem}_resolved.json",
-                lambda: json.dumps(resolved_dict(scenario), indent=2) + "\n",
-            ),
+            (f"{stem}_resolved.json", lambda: _json_text(resolved_dict(scenario))),
         ]
     if sweep is not None:
         files.append((f"{stem}_sweep.{fmt}", lambda: _sweep_table(sweep, fmt)))

@@ -5,8 +5,10 @@ An order-N linear difference equation
     y[k+N] + f[N-1](k) y[k+N-1] + ... + f[1](k) y[k+1] + f[0](k) y[k] + f(k) = 0
 
 is described by a :class:`RecurrenceSpec`: N coefficient models ``f[0..N-1]``,
-a forcing model ``f`` and an integer index window.  Two reference propagators
-live here: :func:`direct_solve`, the plain scalar recursion used as the oracle
+a forcing model ``f`` and an integer index window.  The spec samples its
+models once, at construction, into a read-only coefficient table; everything
+downstream reads that table.  Two reference propagators live here:
+:func:`direct_solve`, the plain scalar recursion used as the oracle
 throughout the test suite, and :func:`companion_propagate`, the equivalent
 companion-matrix bookkeeping.
 
@@ -17,7 +19,7 @@ characteristic roots of real problems are generically complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,13 +39,13 @@ class CoefficientModel:
     def __call__(self, k: int) -> complex:
         raise NotImplementedError
 
+    def sample(self, lo: int, hi: int) -> np.ndarray:
+        """Values at ``k = lo .. hi`` (inclusive): ``self(k)`` index by index."""
+        return np.array([self(k) for k in range(lo, hi + 1)], dtype=complex)
+
     def with_epsilon(self, epsilon: float) -> "CoefficientModel":
         """Copy with the slow-variation parameter replaced (no-op if absent)."""
         return self
-
-    def coverage(self) -> tuple[int, int] | None:
-        """Inclusive index range the model is defined on, or None if total."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,9 @@ class Constant(CoefficientModel):
 
     def __call__(self, k: int) -> complex:
         return complex(self.value)
+
+    def sample(self, lo: int, hi: int) -> np.ndarray:
+        return np.full(hi - lo + 1, complex(self.value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +79,13 @@ class Tabulated(CoefficientModel):
             )
         return complex(self.values[i])
 
-    def coverage(self) -> tuple[int, int]:
-        return self.k_first, self.k_first + len(self.values) - 1
+    def sample(self, lo: int, hi: int) -> np.ndarray:
+        last = self.k_first + len(self.values) - 1
+        if lo < self.k_first or hi > last:
+            raise IndexOutOfWindow(
+                f"model covers [{self.k_first}, {last}] but the window is [{lo}, {hi}]"
+            )
+        return self.values[lo - self.k_first : hi - self.k_first + 1]
 
 
 @dataclass(frozen=True)
@@ -130,6 +140,10 @@ class RecurrenceSpec:
     The window is ``[k_start, k_start + horizon + order]`` inclusive; every
     model must be defined on all of it, and ``f[0]`` must be nonzero there.
     ``horizon`` is the number of recursion steps taken by the propagators.
+
+    ``table`` holds the models sampled once over the window, read-only:
+    row t is index ``k_start + t``, columns ``f[0] .. f[N-1]`` and then the
+    forcing.  Non-finite entries are kept; the consumers report them.
     """
 
     order: int
@@ -137,6 +151,7 @@ class RecurrenceSpec:
     k_start: int
     horizon: int
     forcing: CoefficientModel = Constant(0.0)
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not MIN_ORDER <= self.order <= MAX_ORDER:
@@ -151,17 +166,14 @@ class RecurrenceSpec:
                 f"expected {self.order} coefficient models, got {len(self.coeffs)}"
             )
         lo, hi = self.window
-        for model in (*self.coeffs, self.forcing):
-            rng = model.coverage()
-            if rng is not None and (rng[0] > lo or rng[1] < hi):
-                raise IndexOutOfWindow(
-                    f"model covers [{rng[0]}, {rng[1]}] but the window "
-                    f"is [{lo}, {hi}]"
-                )
-        f0 = self.coeffs[0]
-        for k in range(lo, hi + 1):
-            if f0(k) == 0:
-                raise ZeroCoefficient("f[0] vanishes inside the window", k=k)
+        table = np.empty((hi - lo + 1, self.order + 1), dtype=complex)
+        for j, model in enumerate((*self.coeffs, self.forcing)):
+            table[:, j] = model.sample(lo, hi)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        zero = np.flatnonzero(table[:, 0] == 0)
+        if zero.size:
+            raise ZeroCoefficient("f[0] vanishes inside the window", k=lo + int(zero[0]))
 
     @property
     def window(self) -> tuple[int, int]:
@@ -173,17 +185,16 @@ class RecurrenceSpec:
             raise IndexOutOfWindow(f"window is [{lo}, {hi}]", k=k)
 
     def coeff_array(self, k: int) -> np.ndarray:
-        """``(f[0](k), ..., f[N-1](k))`` as a complex vector."""
+        """``(f[0](k), ..., f[N-1](k))`` as a complex vector (read-only)."""
         self.check_window(k)
-        return np.array([m(k) for m in self.coeffs], dtype=complex)
+        return self.table[k - self.k_start, :-1]
 
     def forcing_value(self, k: int) -> complex:
         self.check_window(k)
-        return complex(self.forcing(k))
+        return complex(self.table[k - self.k_start, -1])
 
     def is_homogeneous(self) -> bool:
-        lo, hi = self.window
-        return all(self.forcing(k) == 0 for k in range(lo, hi + 1))
+        return not self.table[:, -1].any()
 
     def with_epsilon(self, epsilon: float) -> "RecurrenceSpec":
         """Copy with the slow-variation parameter replaced in every model."""
@@ -220,25 +231,16 @@ class ScalarTrajectory:
         return complex(self.values[i])
 
 
-@dataclass(frozen=True, eq=False)
-class CompanionState:
-    """Stacked window ``(y[k+N-1], ..., y[k])``, newest value first."""
-
-    entries: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.array(self.entries, dtype=complex))
-
-
 def eval_coeffs(spec: RecurrenceSpec, k: int) -> np.ndarray:
     """Evaluate ``(f[0](k), ..., f[N-1](k), f(k))`` at one index.
 
     Deterministic; raises :class:`IndexOutOfWindow` outside the declared
     window (models are total functions over the window only, out-of-window
-    access is an error rather than extrapolation).
+    access is an error rather than extrapolation).  A read-only row of
+    ``spec.table``.
     """
-    return np.append(spec.coeff_array(k), spec.forcing_value(k))
+    spec.check_window(k)
+    return spec.table[k - spec.k_start]
 
 
 def direct_solve(spec: RecurrenceSpec, initial) -> ScalarTrajectory:
@@ -255,21 +257,24 @@ def direct_solve(spec: RecurrenceSpec, initial) -> ScalarTrajectory:
         raise ValueError(f"initial data must have length {n}")
     y = np.empty(spec.horizon + n, dtype=complex)
     y[:n] = initial
+    f, forcing = spec.table[:, :-1], spec.table[:, -1]
     for s in range(spec.horizon):
-        k = spec.k_start + s
-        f = spec.coeff_array(k)
-        y[s + n] = -(f @ y[s : s + n] + spec.forcing_value(k))
+        y[s + n] = -(f[s] @ y[s : s + n] + forcing[s])
     return ScalarTrajectory(values=y, k_start=spec.k_start)
+
+
+def _companion(f: np.ndarray) -> np.ndarray:
+    """:func:`companion_matrix` of each coefficient row ``f[..., :]``."""
+    n = f.shape[-1]
+    t = np.zeros(f.shape[:-1] + (n, n), dtype=complex)
+    t[..., 0, :] = -f[..., ::-1]
+    t[..., np.arange(1, n), np.arange(n - 1)] = 1.0
+    return t
 
 
 def companion_matrix(spec: RecurrenceSpec, k: int) -> np.ndarray:
     """N x N one-step matrix: first row ``(-f[N-1], ..., -f[0])``, ones below."""
-    f = spec.coeff_array(k)
-    n = spec.order
-    t = np.zeros((n, n), dtype=complex)
-    t[0, :] = -f[::-1]
-    t[np.arange(1, n), np.arange(n - 1)] = 1.0
-    return t
+    return _companion(eval_coeffs(spec, k)[:-1])
 
 
 def companion_propagate(spec: RecurrenceSpec, initial) -> ScalarTrajectory:
@@ -285,12 +290,10 @@ def companion_propagate(spec: RecurrenceSpec, initial) -> ScalarTrajectory:
         raise ValueError(f"initial data must have length {n}")
     y = np.empty(spec.horizon + n, dtype=complex)
     y[:n] = initial
-    state = CompanionState(entries=initial[::-1], k=spec.k_start)
-    for s in range(spec.horizon):
-        k = spec.k_start + s
-        forcing = np.zeros(n, dtype=complex)
-        forcing[0] = -spec.forcing_value(k)
-        entries = companion_matrix(spec, k) @ state.entries + forcing
-        state = CompanionState(entries=entries, k=k + 1)
-        y[s + n] = entries[0]
+    x = initial[::-1].copy()  # the window, newest value first
+    push = np.zeros(n, dtype=complex)
+    for s, row in enumerate(spec.table[: spec.horizon]):
+        push[0] = -row[-1]
+        x = _companion(row[:-1]) @ x + push
+        y[s + n] = x[0]
     return ScalarTrajectory(values=y, k_start=spec.k_start)

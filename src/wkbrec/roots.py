@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import RecurrenceSpec
+from .core import RecurrenceSpec, _companion
 from .decomposition import ComponentVector, GaugeSet
 from .errors import (
     AmbiguousTracking,
@@ -400,19 +400,11 @@ def _window_roots(f: np.ndarray, tol: float):
     the caller can still label the rows before it.
     """
     failure = None
-    bad = (f[:, 0] == 0) | ~np.isfinite(f).all(axis=1)
+    bad = ~np.isfinite(f).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
-        if f[row, 0] == 0:
-            error = ZeroCoefficient("zero constant term implies a zero root")
-        else:
-            error = RecurrenceError("non-finite characteristic coefficient")
-        failure, f = (row, error), f[:row]
-    n = f.shape[1]
-    companion = np.zeros((len(f), n, n), dtype=complex)
-    companion[:, 0, :] = -f[:, ::-1]
-    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    z, unsettled = _polish(f, np.linalg.eigvals(companion))
+        failure, f = (row, RecurrenceError("non-finite characteristic coefficient")), f[:row]
+    z, unsettled = _polish(f, np.linalg.eigvals(_companion(f)))
     for row in np.flatnonzero(unsettled):
         try:
             z[row] = characteristic_roots(f[row], tol=tol)
@@ -462,23 +454,26 @@ def root_frames(
     """Tracked root frames for ``k = k_lo .. k_hi``.
 
     Defaults to ``k_start .. k_start + horizon``, which is what one
-    propagation pass needs.  The coefficients of the window are sampled
-    into one table and its roots are found and labelled in one batched pass
-    (see the module docstring).  Rows whose polish does not settle are
-    solved by :func:`characteristic_roots` instead.  The first frame is
-    labelled by ascending real, then imaginary part.  A failure raises the
-    error of the lowest failing index, with that index attached: a
-    non-finite or zero-constant coefficient row, a root residual above
-    ``tol`` (:class:`NoConvergence`), or a tie in the tracking
-    (:class:`AmbiguousTracking`).
+    propagation pass needs; a range reaching outside the spec's window
+    raises :class:`IndexOutOfWindow`.  The rows of ``spec.table`` for the
+    range have their roots found and labelled in one batched pass (see the
+    module docstring).  Rows whose polish does not settle are solved by
+    :func:`characteristic_roots` instead.  The first frame is labelled by
+    ascending real, then imaginary part.  A failure raises the error of the
+    lowest failing index, with that index attached: a non-finite
+    coefficient row, a root residual above ``tol`` (:class:`NoConvergence`),
+    or a tie in the tracking (:class:`AmbiguousTracking`).
     """
-    if k_lo is None:
-        k_lo = spec.k_start
-    if k_hi is None:
-        k_hi = spec.k_start + spec.horizon
+    k_lo = spec.k_start if k_lo is None else k_lo
+    k_hi = spec.k_start + spec.horizon if k_hi is None else k_hi
     ks = range(k_lo, k_hi + 1)
-    f = np.array([spec.coeff_array(k) for k in ks], dtype=complex)
-    roots, residuals, failure = _window_roots(f.reshape(len(ks), spec.order), tol)
+    if not ks:
+        return []
+    # the first index outside the window raises, as index by index
+    spec.check_window(k_lo)
+    spec.check_window(min(k_hi, spec.window[1] + 1))
+    f = spec.table[k_lo - spec.k_start : k_hi - spec.k_start + 1, :-1]
+    roots, residuals, failure = _window_roots(f, tol)
     frames: list[RootFrame] = []
     if len(roots):
         matches = _matches(roots, ks)

@@ -307,32 +307,30 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _tabulate(model: CoefficientModel, lo: int, hi: int) -> dict:
-    values = [_complex_pair(model(k)) for k in range(lo, hi + 1)]
-    return {"variant": "tabulated", "values": values, "k_first": lo}
+def _pairs(values: np.ndarray) -> list[list[float]]:
+    return np.column_stack((values.real, values.imag)).tolist()
 
 
 def resolved_dict(scenario: Scenario) -> dict:
     """Scenario with every model exported as tabulated values over the window.
 
-    Re-ingesting the result reproduces the run exactly: the [re, im] pairs
-    round-trip through JSON at full double precision.  A sweep list is not
-    carried over, because tabulated models no longer depend on the
-    slow-variation parameter.
+    The values are the columns of ``spec.table``.  Re-ingesting the result
+    reproduces the run exactly: the [re, im] pairs round-trip through JSON
+    at full double precision.  A sweep list is not carried over, because
+    tabulated models no longer depend on the slow-variation parameter.
     """
     spec = scenario.spec
-    lo, hi = spec.window
+    columns = [
+        {"variant": "tabulated", "values": _pairs(column), "k_first": spec.k_start}
+        for column in spec.table.T
+    ]
     return {
         "order": spec.order,
         "k_start": spec.k_start,
         "horizon": spec.horizon,
-        "coefficients": [_tabulate(m, lo, hi) for m in spec.coeffs],
-        "forcing": _tabulate(spec.forcing, lo, hi),
-        "initial": [_complex_pair(z) for z in scenario.initial],
+        "coefficients": columns[:-1],
+        "forcing": columns[-1],
+        "initial": _pairs(scenario.initial),
         "methods": list(scenario.methods),
         "output": {"path": scenario.output_path, "format": scenario.output_format},
     }

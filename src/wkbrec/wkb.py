@@ -179,9 +179,8 @@ def _run_power_gauge(spec, initial, roots, kernel=None):
     _check_separation(roots, ks)
     gauge = GaugeSet(k=spec.k_start, g=_vandermonde(roots[0])[1:])
     Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge)
-    forcing = np.array([spec.forcing_value(k) for k in ks[:-1]], dtype=complex)
+    f, forcing = spec.table[: spec.horizon, :-1], spec.table[: spec.horizon, -1]
     if kernel is None:
-        f = np.array([spec.coeff_array(k) for k in ks[:-1]], dtype=complex)
         T, push = _step_arrays(_vandermonde(roots), f, forcing, ks)
     else:
         T, push = kernel(roots[:-1], roots[1:]), -forcing[:, None] * _spread(roots[1:])
@@ -222,7 +221,9 @@ _FRAME_METHODS = frozenset({"gauge-exact", "explicit3", "wkb3", "wkb-general"})
 
 
 def _check_finite(values: np.ndarray, ks: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(values)
+    """Raise :class:`Breakdown` at the first index of ``ks`` whose row of
+    ``values`` (one value or one row per index) holds a non-finite entry."""
+    bad = ~np.isfinite(values).reshape(len(ks), -1).all(axis=1)
     if bad.any():
         raise Breakdown(f"{what}: non-finite value", k=int(ks[np.argmax(bad)]))
 

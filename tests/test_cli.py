@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -40,6 +41,54 @@ def sweep_scenario(outdir):
         "methods": ["wkb-general"],
         "epsilon_sweep": [0.02, 0.01, 0.005],
         "output": {"path": str(outdir), "format": "csv"},
+    }
+
+
+def overflow_scenario(outdir):
+    # eps * k overflows from k=2 on, so f[1] = 11 + c * eps * k is finite up
+    # to k=1 and NaN after
+    data = sweep_scenario(outdir)
+    data["coefficients"][1] = {
+        "variant": "polynomial",
+        "coeffs": ["11", "1e-300+1e-300j"],
+        "epsilon": 1e308,
+    }
+    data.pop("epsilon_sweep")
+    return data
+
+
+def all_variants_scenario():
+    """Order 4 with every model variant, a varying forcing and a -0.0 entry;
+    the window is [3, 19]."""
+    tabulated = [[2 + 0.1 * i, -0.0 if i % 3 == 0 else 0.05 * i] for i in range(21)]
+    return {
+        "order": 4,
+        "k_start": 3,
+        "horizon": 12,
+        "coefficients": [
+            {"variant": "tabulated", "values": tabulated, "k_first": 1},
+            {"variant": "constant", "value": "-0.75+0.5j"},
+            {"variant": "polynomial", "coeffs": ["1", "0.3-0.1j", "-0.05"], "epsilon": 0.07},
+            {
+                "variant": "sinusoidal",
+                "amplitude": "0.2+0.1j",
+                "offset": "-1",
+                "frequency": 1.3,
+                "phase": 0.4,
+                "epsilon": 0.05,
+            },
+        ],
+        "forcing": {
+            "variant": "sinusoidal",
+            "amplitude": "0.5",
+            "offset": "0.1-0.2j",
+            "frequency": 2.0,
+            "phase": -0.3,
+            "epsilon": 0.11,
+        },
+        "initial": ["1", "0.5j", "-0.3", "0.2+0.1j"],
+        "methods": ["direct", "companion"],
+        "output": {"path": "out", "format": "csv"},
     }
 
 
@@ -238,17 +287,9 @@ class TestNonFiniteInput:
         assert "--epsilons: must be a nonnegative finite number" in capsys.readouterr().err
 
     def test_overflowing_coefficient_names_its_index(self, tmp_path, capsys):
-        # eps * k overflows from k=2 on, so f[1] = 11 + c * eps * k is
-        # finite up to k=1 and NaN after; the scenario validates, and the
-        # root pass reports where it broke
-        data = sweep_scenario(tmp_path)
-        data["coefficients"][1] = {
-            "variant": "polynomial",
-            "coeffs": ["11", "1e-300+1e-300j"],
-            "epsilon": 1e308,
-        }
+        # the scenario validates, and the root pass reports where it broke
+        data = overflow_scenario(tmp_path)
         data["methods"] = ["gauge-exact"]
-        data.pop("epsilon_sweep")
         scenario = write_scenario(tmp_path / "overflow.json", data)
         assert main(["validate", scenario]) == EXIT_OK
         assert main(["run", scenario]) == EXIT_NUMERICAL
@@ -323,6 +364,17 @@ class TestNonFiniteOutput:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    def test_overflow_past_the_horizon_writes_nothing(self, tmp_path, capsys):
+        # at horizon 1 every method reads k = 0 and 1 only, but the resolved
+        # file tabulates the window [0, 4], which is NaN from k=2 on
+        data = overflow_scenario(tmp_path)
+        data.update(horizon=1, methods=["direct", "gauge-exact"])
+        scenario = write_scenario(tmp_path / "overflow.json", data)
+        assert main(["run", scenario]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "coefficient table: non-finite value at index k=2" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["overflow.json"]
+
     def test_json_tables_refuse_non_finite_numbers(self):
         from wkbrec.cli import _error_tables
         from wkbrec.wkb import ComparisonTable
@@ -333,3 +385,13 @@ class TestNonFiniteOutput:
         )
         with pytest.raises(ValueError):
             _error_tables(table, "json")
+
+
+def test_resolved_file_is_pinned(tmp_path):
+    # the resolved file depends only on model arithmetic and float repr;
+    # the digest guards its bytes across changes to how models are sampled
+    scenario = write_scenario(tmp_path / "mixed.json", all_variants_scenario())
+    assert main(["run", scenario, "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    data = (tmp_path / "out" / "mixed_resolved.json").read_bytes()
+    digest = "b707729389f805d7b473bc8eedbb482558328568c2a491a3d21a66a4b90ebe9d"
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -14,10 +16,12 @@ from wkbrec import (
     ZeroCoefficient,
     companion_matrix,
     companion_propagate,
+    compare_methods,
     direct_solve,
     eval_coeffs,
 )
-from conftest import complex_array, constant_spec
+from wkbrec.wkb import METHOD_NAMES
+from conftest import complex_array, constant_spec, sin_family
 
 
 class TestCoefficientModels:
@@ -47,6 +51,14 @@ class TestCoefficientModels:
         model = Tabulated(values=np.arange(4), k_first=0)
         with pytest.raises(IndexOutOfWindow):
             model(4)
+
+    def test_tabulated_sample_out_of_coverage(self):
+        # a bare slice would truncate (4, 6) and wrap (-3, -1) silently
+        model = Tabulated(values=np.arange(4), k_first=2)
+        assert model.sample(3, 5).tolist() == [1, 2, 3]
+        for lo, hi in ((1, 3), (4, 6), (-3, -1)):
+            with pytest.raises(IndexOutOfWindow, match=r"covers \[2, 5\]"):
+                model.sample(lo, hi)
 
     def test_eval_coeffs_vector(self):
         spec = constant_spec([-6, 11, -6], horizon=5, forcing=2.0)
@@ -92,6 +104,115 @@ class TestSpecValidation:
                 k_start=0,
                 horizon=10,
             )
+
+
+values = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+epsilons = st.floats(0.0, 0.5)
+
+
+@st.composite
+def models(draw, lo, hi):
+    """A model of a drawn variant, defined on ``[lo, hi]``."""
+    variant = draw(st.sampled_from(["constant", "tabulated", "polynomial", "sinusoidal"]))
+    if variant == "constant":
+        return Constant(draw(values))
+    if variant == "tabulated":
+        before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        n = hi - lo + 1 + before + after
+        table = draw(st.lists(values, min_size=n, max_size=n))
+        return Tabulated(values=np.array(table), k_first=lo - before)
+    if variant == "polynomial":
+        coeffs = draw(st.lists(values, min_size=1, max_size=4))
+        return PolynomialInEpsK(coeffs=tuple(coeffs), epsilon=draw(epsilons))
+    return SinusoidalInEpsK(
+        amplitude=draw(values),
+        offset=draw(values),
+        frequency=draw(st.floats(-3.0, 3.0)),
+        phase=draw(st.floats(-3.0, 3.0)),
+        epsilon=draw(epsilons),
+    )
+
+
+@st.composite
+def specs(draw):
+    n = draw(st.integers(2, 8))
+    k_start, horizon = draw(st.integers(-20, 20)), draw(st.integers(1, 30))
+    lo, hi = k_start, k_start + horizon + n
+    coeffs = tuple(draw(models(lo, hi)) for _ in range(n))
+    forcing = draw(models(lo, hi))
+    return dict(order=n, coeffs=coeffs, k_start=k_start, horizon=horizon, forcing=forcing)
+
+
+def sampled(spec_fields, epsilon=None):
+    """The rows ``(f[0](k), ..., f[N-1](k), f(k))`` over the window, index by index."""
+    columns = (*spec_fields["coeffs"], spec_fields["forcing"])
+    if epsilon is not None:
+        columns = [m.with_epsilon(epsilon) for m in columns]
+    lo = spec_fields["k_start"]
+    hi = lo + spec_fields["horizon"] + spec_fields["order"]
+    return np.array([[m(k) for m in columns] for k in range(lo, hi + 1)], dtype=complex)
+
+
+class TestCoefficientTable:
+    @settings(max_examples=60, deadline=None)
+    @given(fields=specs(), epsilon=epsilons)
+    def test_table_is_the_models_index_by_index(self, fields, epsilon):
+        wants = sampled(fields), sampled(fields, epsilon)
+        assume(all(np.all(want[:, 0] != 0) for want in wants))
+        first = RecurrenceSpec(**fields)
+        for spec, want in zip((first, first.with_epsilon(epsilon)), wants):
+            assert spec.table.shape == want.shape
+            assert spec.table.tobytes() == want.tobytes()  # bit for bit
+            with pytest.raises(ValueError):
+                spec.table[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                spec.coeff_array(spec.k_start)[0] = 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(fields=specs(), zeros=st.lists(st.integers(0, 100), min_size=1, max_size=3))
+    def test_zero_f0_raises_at_lowest_index(self, fields, zeros):
+        lo = fields["k_start"]
+        width = fields["horizon"] + fields["order"] + 1
+        f0 = np.ones(width, dtype=complex)
+        f0[[z % width for z in zeros]] = 0.0
+        fields["coeffs"] = (Tabulated(values=f0, k_first=lo), *fields["coeffs"][1:])
+        with pytest.raises(ZeroCoefficient) as info:
+            RecurrenceSpec(**fields)
+        assert info.value.k == lo + min(z % width for z in zeros)
+
+
+def counted_calls(monkeypatch):
+    """Count ``model(k)`` calls per (model, k) for every model variant."""
+    calls = Counter()
+    for cls in (Constant, Tabulated, PolynomialInEpsK, SinusoidalInEpsK):
+
+        def wrapped(self, k, original=cls.__call__):
+            calls[id(self), k] += 1
+            return original(self, k)
+
+        monkeypatch.setattr(cls, "__call__", wrapped)
+    return calls
+
+
+class TestSampledOnce:
+    def test_each_model_is_evaluated_once_per_index(self, monkeypatch):
+        calls = counted_calls(monkeypatch)
+        spec = sin_family(epsilon=0.01, horizon=50)
+        compare_methods(spec, [1.0, 0.5, 0.25], METHOD_NAMES)
+        lo, hi = spec.window
+        assert calls == Counter({(id(m), k): 1 for m in spec.coeffs for k in range(lo, hi + 1)})
+
+    def test_tabulated_models_are_never_called(self, monkeypatch):
+        table = sin_family(epsilon=0.01, horizon=50).table
+        calls = counted_calls(monkeypatch)
+        spec = RecurrenceSpec(
+            order=3,
+            coeffs=tuple(Tabulated(values=table[:, j], k_first=0) for j in range(3)),
+            k_start=0,
+            horizon=50,
+        )
+        compare_methods(spec, [1.0, 0.5, 0.25], METHOD_NAMES)
+        assert calls == Counter()
 
 
 class TestDirectSolve:

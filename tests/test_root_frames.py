@@ -18,6 +18,7 @@ from wkbrec import (
     AmbiguousTracking,
     Constant,
     DegenerateRoots,
+    IndexOutOfWindow,
     NoConvergence,
     RecurrenceError,
     RecurrenceSpec,
@@ -202,7 +203,9 @@ def test_nan_coefficient_names_its_index(n, seed, j, nan_pos):
     # a RecurrenceError naming k, never numpy's LinAlgError from eigvals
     base = base_roots(np.random.default_rng(seed), n)
     spec = spec_from_roots([base] * (20 + n + 1))
-    spec.coeffs[nan_pos % n].values[j] = np.nan
+    table = [m.values.copy() for m in spec.coeffs]
+    table[nan_pos % n][j] = np.nan
+    spec = replace(spec, coeffs=tuple(Tabulated(values=v, k_first=0) for v in table))
     with pytest.raises(RecurrenceError) as info:
         root_frames(spec)
     assert info.value.k == j
@@ -261,3 +264,11 @@ class TestFailures:
 
     def test_empty_window(self, cubic123_spec):
         assert root_frames(cubic123_spec, 3, 2) == []
+
+    def test_range_outside_window_names_first_index_outside(self, cubic123_spec):
+        # the window is [0, 13]; the range is checked before the table is
+        # sliced, so nothing wraps or is cut short
+        assert len(root_frames(cubic123_spec, 0, 13)) == 14
+        assert outcome(lambda: root_frames(cubic123_spec, -1, 5)) == (IndexOutOfWindow, -1)
+        assert outcome(lambda: root_frames(cubic123_spec, 5, 20)) == (IndexOutOfWindow, 14)
+        assert outcome(lambda: root_frames(cubic123_spec, 20, 25)) == (IndexOutOfWindow, 20)
