@@ -10,7 +10,8 @@ models once, at construction, into a read-only coefficient table; everything
 downstream reads that table.  Two reference propagators live here:
 :func:`direct_solve`, the plain scalar recursion used as the oracle
 throughout the test suite, and :func:`companion_propagate`, the equivalent
-companion-matrix bookkeeping.
+companion-matrix bookkeeping.  The latter runs on the one step chain
+``Y[k+1] = T[k] Y[k] + push[k]`` that every decomposed method shares.
 
 All arithmetic is complex double precision even for real inputs; the
 characteristic roots of real problems are generically complex.
@@ -277,6 +278,19 @@ def companion_matrix(spec: RecurrenceSpec, k: int) -> np.ndarray:
     return _companion(eval_coeffs(spec, k)[:-1])
 
 
+def _chain(Y0: np.ndarray, T: np.ndarray, push: np.ndarray) -> np.ndarray:
+    """States ``(H+1, N)`` of the chain ``Y[s+1] = T[s] Y[s] + push[s]`` from
+    ``Y0``; ``T`` holds the step matrices ``(H, N, N)`` or their diagonals
+    ``(H, N)``.  Every compared method but the scalar recursion steps on it."""
+    if T.ndim == 2:
+        T = T[..., None] * np.eye(T.shape[1])
+    Y = np.empty((len(T) + 1, len(Y0)), dtype=complex)
+    Y[0] = Y0
+    for s in range(len(T)):
+        Y[s + 1] = T[s] @ Y[s] + push[s]
+    return Y
+
+
 def companion_propagate(spec: RecurrenceSpec, initial) -> ScalarTrajectory:
     """Propagate the stacked window ``X[k+1] = T(k) X[k] + F(k)``.
 
@@ -288,12 +302,8 @@ def companion_propagate(spec: RecurrenceSpec, initial) -> ScalarTrajectory:
     n = spec.order
     if initial.shape != (n,):
         raise ValueError(f"initial data must have length {n}")
-    y = np.empty(spec.horizon + n, dtype=complex)
-    y[:n] = initial
-    x = initial[::-1].copy()  # the window, newest value first
-    push = np.zeros(n, dtype=complex)
-    for s, row in enumerate(spec.table[: spec.horizon]):
-        push[0] = -row[-1]
-        x = _companion(row[:-1]) @ x + push
-        y[s + n] = x[0]
-    return ScalarTrajectory(values=y, k_start=spec.k_start)
+    rows = spec.table[: spec.horizon]
+    push = np.zeros((spec.horizon, n), dtype=complex)
+    push[:, 0] = -rows[:, -1]
+    X = _chain(initial[::-1], _companion(rows[:, :-1]), push)  # newest value first
+    return ScalarTrajectory(values=np.concatenate((initial, X[1:, 0])), k_start=spec.k_start)

@@ -159,20 +159,6 @@ def _prepare_seed(z: np.ndarray, radius: float) -> np.ndarray:
     return z
 
 
-def _aberth_update(c: np.ndarray, dc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Aberth-Ehrlich corrections for the iterates ``z``, row by row.
-
-    ``c`` and ``dc`` are the descending coefficients of each row's
-    polynomial and of its derivative.  An entry is non-finite where the
-    derivative vanishes or two iterates coincide.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = _polyval(c, z) / _polyval(dc, z)
-        repulsion = (1.0 / _differences(z, z, np.inf)).sum(axis=-1)
-        denom = 1.0 - ratio * repulsion
-        return np.where(denom == 0, ratio, ratio / denom)
-
-
 def _residual_failure(f: np.ndarray, z: np.ndarray, tol: float):
     """Residuals of the roots ``z`` of each row of ``f``, and the first row
     breaking the bound as ``(row, NoConvergence)``, or None if none does.
@@ -194,20 +180,15 @@ def _residual_failure(f: np.ndarray, z: np.ndarray, tol: float):
     return residuals, (row, error)
 
 
-def characteristic_roots(
-    coeffs,
-    tol: float = DEFAULT_ROOT_TOL,
-    seed=None,
-    max_iter: int = ABERTH_MAX_ITER,
-) -> np.ndarray:
+def characteristic_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed=None) -> np.ndarray:
     """All N roots of the monic characteristic polynomial, unordered.
 
     ``coeffs`` are ``(f[0], ..., f[N-1])`` in ascending degree.  The roots
-    are found by simultaneous Aberth-Ehrlich iteration, initialised on a
-    circle of radius ``1 + max|f|`` (a bound on every root) or on ``seed``
-    when warm starting from a neighbouring index.  Convergence requires the
-    largest update to drop below ``1e-13`` times that radius within
-    ``max_iter`` sweeps, and every root must satisfy
+    are found by the Aberth-Ehrlich sweeps of :func:`_polish`, initialised
+    on a circle of radius ``1 + max|f|`` (a bound on every root) or on
+    ``seed`` when warm starting from a neighbouring index.  Convergence
+    requires the largest update to drop below ``1e-13`` times that radius
+    within ``ABERTH_MAX_ITER`` sweeps, and every root must satisfy
 
         |p(root)| <= tol * (1 + sum|f|) * max(1, |root|)**N
 
@@ -219,8 +200,6 @@ def characteristic_roots(
         raise ValueError("need at least one coefficient")
     if f[0] == 0:
         raise ZeroCoefficient("zero constant term implies a zero root")
-    c = _descending(f)
-    dc = c[:-1] * np.arange(n, 0, -1)
     radius = 1.0 + float(np.max(np.abs(f)))
     if seed is None:
         angles = 2.0 * np.pi * np.arange(n) / n + np.pi / (2.0 * n) + 0.3 / n
@@ -230,24 +209,13 @@ def characteristic_roots(
         if z.shape != (n,):
             raise ValueError(f"seed must supply {n} start values")
         z = _prepare_seed(z, radius)
-
-    converged = False
-    for _ in range(max_iter):
-        w = _aberth_update(c, dc, z)
-        finite = np.isfinite(w)
-        if not np.all(finite):
-            z = np.where(finite, z, z * (1.0 + 1e-7) + 1e-7 * radius)
-            continue
-        z = z - w
-        if np.max(np.abs(w)) < ABERTH_UPDATE_TOL * radius:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(f"no convergence within {max_iter} iterations")
-    _, failure = _residual_failure(f[None], z[None], tol)
+    z, unsettled = _polish(f[None], z[None])
+    if unsettled[0]:
+        raise NoConvergence(f"no convergence within {ABERTH_MAX_ITER} iterations")
+    _, failure = _residual_failure(f[None], z, tol)
     if failure is not None:
         raise failure[1]
-    return z
+    return z[0]
 
 
 @lru_cache(maxsize=None)
@@ -369,25 +337,34 @@ def _polish(f: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Aberth sweeps from the root estimates ``z``, one row per index.
 
     A row stops once its largest update drops below ``ABERTH_UPDATE_TOL``
-    times its radius ``1 + max|f|``, the rule of :func:`characteristic_roots`.
-    Returns the polished roots and a mask of the rows that produced a
-    non-finite update or did not stop within ``ABERTH_MAX_ITER`` sweeps.
+    times its radius ``1 + max|f|``.  In a row whose update has a
+    non-finite entry (a vanishing derivative or two coincident iterates)
+    the finite iterates stay and the others move off by ``1e-7`` of the
+    radius; that sweep counts.  Returns the polished roots and a mask of
+    the rows that did not stop within ``ABERTH_MAX_ITER`` sweeps.
     """
     c = _descending(f)
     dc = c[:, :-1] * np.arange(f.shape[1], 0, -1)
     radius = 1.0 + np.abs(f).max(axis=1, initial=0.0)
     z = z.copy()
-    unsettled = np.zeros(len(z), dtype=bool)
     active = np.arange(len(z))
     for _ in range(ABERTH_MAX_ITER):
         if active.size == 0:
             break
-        w = _aberth_update(c[active], dc[active], z[active])
-        finite = np.isfinite(w).all(axis=1)
-        unsettled[active[~finite]] = True
-        active, w = active[finite], w[finite]
-        z[active] -= w
-        active = active[np.abs(w).max(axis=1) >= ABERTH_UPDATE_TOL * radius[active]]
+        za, r = z[active], radius[active, None]
+        # the Aberth-Ehrlich corrections
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = _polyval(c[active], za) / _polyval(dc[active], za)
+            denom = 1.0 - ratio * (1.0 / _differences(za, za, np.inf)).sum(axis=-1)
+            w = np.where(denom == 0, ratio, ratio / denom)
+        finite = np.isfinite(w)
+        whole = finite.all(axis=1)
+        z[active] = np.where(
+            whole[:, None], za - w, np.where(finite, za, za * (1.0 + 1e-7) + 1e-7 * r)
+        )
+        settled = whole & (np.abs(w).max(axis=1) < ABERTH_UPDATE_TOL * r[:, 0])
+        active = active[~settled]
+    unsettled = np.zeros(len(z), dtype=bool)
     unsettled[active] = True
     return z, unsettled
 

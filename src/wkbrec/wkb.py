@@ -15,16 +15,20 @@ slow-variation parameters.  There each decomposed method is two arrays over
 the ``(H+1, N)`` table of tracked roots, the step matrices ``T`` (or their
 diagonals) and the forcing terms ``push``, fed to one chain
 ``Y[k+1] = T[k] Y[k] + push[k]``; the per-step functions are its references.
+Each method's driver, the root rows it reads and its restrictions are one
+row of the method table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import RecurrenceSpec, companion_propagate, direct_solve
+from .core import RecurrenceSpec, _chain, companion_propagate, direct_solve
 from .decomposition import (
     ComponentVector,
     GaugeSet,
@@ -52,18 +56,6 @@ from .third_order import (
     oracle_ratio_branch,
     riccati_gauge,
 )
-
-METHOD_NAMES = (
-    "direct",
-    "companion",
-    "gauge-exact",
-    "explicit3",
-    "wkb3",
-    "riccati",
-    "wkb-general",
-)
-THIRD_ORDER_METHODS = frozenset({"explicit3", "wkb3", "riccati"})
-HOMOGENEOUS_ONLY_METHODS = frozenset({"riccati", "wkb-general"})
 
 _REL_ERROR_FLOOR = 1e-300
 
@@ -118,14 +110,15 @@ def wkb_diagonal_gain(frame_now: RootFrame, frame_next: RootFrame) -> np.ndarray
 
 
 def wkb_step_general(
-    Y: ComponentVector, frame_now: RootFrame, frame_next: RootFrame
+    Y: ComponentVector, frame_now: RootFrame, frame_next: RootFrame, f_k: complex = 0.0
 ) -> tuple[ComponentVector, WkbStepReport]:
-    """Diagonal (WKB) power-gauge step for arbitrary order, homogeneous.
+    """Diagonal (WKB) power-gauge step for arbitrary order.
 
     Branch i is multiplied by its diagonal gain; the discarded off-diagonal
-    magnitude is reported for error accounting.  Uses the closed-form inverse
-    deliberately, so this path exercises the Vandermonde formula rather than
-    a generic solve.
+    magnitude is reported for error accounting.  The forcing ``f_k`` at the
+    departure index enters exactly, as ``-f_k`` times the last column of the
+    inverse.  Uses the closed-form inverse deliberately, so this path
+    exercises the Vandermonde formula rather than a generic solve.
     """
     _frames_checked(Y, frame_now, frame_next)
     minv = vandermonde_inverse(frame_next)
@@ -135,7 +128,7 @@ def wkb_step_general(
     report = WkbStepReport(
         diagonal_gain=gain, offdiag_norm=float(np.max(np.abs(off))), k=Y.k + 1
     )
-    return ComponentVector(k=Y.k + 1, y=gain * Y.y), report
+    return ComponentVector(k=Y.k + 1, y=gain * Y.y - f_k * minv[:, -1]), report
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,18 +152,6 @@ class SweepResult:
     terminal_errors: dict[str, np.ndarray]
 
 
-def _chain(Y0: np.ndarray, T: np.ndarray, push: np.ndarray) -> np.ndarray:
-    """Sums ``y[s]`` of the chain ``Y[s+1] = T[s] Y[s] + push[s]`` from ``Y0``;
-    ``T`` holds the step matrices ``(H, N, N)`` or their diagonals ``(H, N)``."""
-    if T.ndim == 2:
-        T = T[..., None] * np.eye(T.shape[1])
-    Y = np.empty((len(T) + 1, len(Y0)), dtype=complex)
-    Y[0] = Y0
-    for s in range(len(T)):
-        Y[s + 1] = T[s] @ Y[s] + push[s]
-    return Y.sum(axis=1)
-
-
 def _run_power_gauge(spec, initial, roots, kernel=None):
     """A power-gauge method over the ``(H+1, N)`` root table: ``kernel(r, R)``
     gives the step matrices or diagonals from the roots at k and k+1 (the
@@ -184,7 +165,7 @@ def _run_power_gauge(spec, initial, roots, kernel=None):
         T, push = _step_arrays(_vandermonde(roots), f, forcing, ks)
     else:
         T, push = kernel(roots[:-1], roots[1:]), -forcing[:, None] * _spread(roots[1:])
-    return _chain(Y0.y, T, push)
+    return _chain(Y0.y, T, push).sum(axis=1)
 
 
 def _run_companion(spec, initial, roots):
@@ -202,22 +183,33 @@ def _run_riccati(spec, initial, roots):
     gauge0 = riccati_gauge(branches, spec.k_start)
     Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge0)
     gains = np.stack([b.p1[: spec.horizon] for b in branches], axis=1)
-    return _chain(Y0.y, gains, np.zeros_like(gains))
+    return _chain(Y0.y, gains, np.zeros_like(gains)).sum(axis=1)
 
 
-# ``direct`` is the oracle itself; every other method maps to a driver
-# ``(spec, initial, roots) -> values`` over the table of tracked roots.
-_DRIVERS = {
-    "companion": _run_companion,
-    "gauge-exact": _run_power_gauge,
-    "explicit3": partial(_run_power_gauge, kernel=_explicit3_matrix),
-    "wkb3": partial(_run_power_gauge, kernel=_wkb3_gain),
-    "riccati": _run_riccati,
-    "wkb-general": partial(_run_power_gauge, kernel=_wkb_gain),
+class _Method(NamedTuple):
+    """One row of the method table: the driver ``(spec, initial, roots) ->
+    values`` over the table of tracked roots (None for ``direct``, which
+    reports the oracle itself), the root rows it reads (``"all"``, ``"first"``
+    or None) and its restrictions."""
+
+    driver: Callable | None = None
+    roots: str | None = None
+    order3_only: bool = False
+    homogeneous_only: bool = False
+
+
+_METHODS = {
+    "direct": _Method(),
+    "companion": _Method(_run_companion),
+    "gauge-exact": _Method(_run_power_gauge, "all"),
+    "explicit3": _Method(
+        partial(_run_power_gauge, kernel=_explicit3_matrix), "all", order3_only=True
+    ),
+    "wkb3": _Method(partial(_run_power_gauge, kernel=_wkb3_gain), "all", order3_only=True),
+    "riccati": _Method(_run_riccati, "first", order3_only=True, homogeneous_only=True),
+    "wkb-general": _Method(partial(_run_power_gauge, kernel=_wkb_gain), "all"),
 }
-# Methods that step through the roots of every index; riccati needs only
-# the first index.
-_FRAME_METHODS = frozenset({"gauge-exact", "explicit3", "wkb3", "wkb-general"})
+METHOD_NAMES = tuple(_METHODS)
 
 
 def _check_finite(values: np.ndarray, ks: np.ndarray, what: str) -> None:
@@ -232,12 +224,13 @@ def check_methods(spec: RecurrenceSpec, methods) -> list[str]:
     """Validate a method list against the problem; returns the problems found."""
     issues = []
     for name in methods:
-        if name not in METHOD_NAMES:
+        method = _METHODS.get(name)
+        if method is None:
             issues.append(f"unknown method '{name}' (known: {', '.join(METHOD_NAMES)})")
             continue
-        if name in THIRD_ORDER_METHODS and spec.order != 3:
+        if method.order3_only and spec.order != 3:
             issues.append(f"method '{name}' requires order 3, spec has order {spec.order}")
-        if name in HOMOGENEOUS_ONLY_METHODS and not spec.is_homogeneous():
+        if method.homogeneous_only and not spec.is_homogeneous():
             issues.append(f"method '{name}' requires zero forcing")
     return issues
 
@@ -266,22 +259,24 @@ def compare_methods(
     if issues:
         raise ValueError("; ".join(issues))
     ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
-    oracle = direct_solve(spec, initial).values[: spec.horizon + 1]
+    span = () if any(_METHODS[n].roots == "all" for n in ordered) else (spec.k_start,) * 2
     roots = None
     values: dict[str, np.ndarray] = {}
-    for name in ordered:
-        try:
-            if roots is None and (name in _FRAME_METHODS or name == "riccati"):
-                span = () if _FRAME_METHODS.intersection(ordered) else (spec.k_start,) * 2
-                roots = np.array([f.roots for f in root_frames(spec, *span, tol=root_tol)])
-            driver = _DRIVERS.get(name)
-            values[name] = driver(spec, initial, roots) if driver else oracle
-        except RecurrenceError as exc:
-            raise type(exc)(
-                f"method '{name}': {exc.message}", k=exc.k, branch=exc.branch
-            ) from exc
-        _check_finite(values[name], ks, f"method '{name}'")
-    _check_finite(oracle, ks, "oracle (scalar recursion)")
+    # overflow is reported below as a Breakdown at its first index
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = direct_solve(spec, initial).values[: spec.horizon + 1]
+        for name in ordered:
+            method = _METHODS[name]
+            try:
+                if roots is None and method.roots:
+                    roots = np.array([f.roots for f in root_frames(spec, *span, tol=root_tol)])
+                values[name] = method.driver(spec, initial, roots) if method.driver else oracle
+            except RecurrenceError as exc:
+                raise type(exc)(
+                    f"method '{name}': {exc.message}", k=exc.k, branch=exc.branch
+                ) from exc
+            _check_finite(values[name], ks, f"method '{name}'")
+        _check_finite(oracle, ks, "oracle (scalar recursion)")
     rel_errors = {name: _relative_errors(v, oracle) for name, v in values.items()}
     return ComparisonTable(k=ks, oracle=oracle, values=values, rel_errors=rel_errors)
 

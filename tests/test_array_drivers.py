@@ -6,7 +6,10 @@ table of tracked roots, fed to one chain.  The references below advance one
 exact step through :func:`propagate` under the power gauge, the closed-form
 Vandermonde step :func:`wkb_step_general`, and the hand-expanded third-order
 formulas written out branch by branch.  Driver and reference must agree to
-1e-12 relative, and must fail with the same error at the same index.
+1e-12 relative, and must fail with the same error at the same index.  The
+companion chain must equal its per-step products bit for bit, and the
+batched gauge-exact solve must agree with the Björck-Pereyra Vandermonde
+solve.
 """
 
 import numpy as np
@@ -23,6 +26,9 @@ from wkbrec import (
     RootFrame,
     SingularGauge,
     Tabulated,
+    build_H,
+    companion_matrix,
+    companion_propagate,
     compare_methods,
     decompose_initial,
     explicit_step,
@@ -34,8 +40,8 @@ from wkbrec import (
     wkb3_step,
     wkb_step_general,
 )
-from wkbrec.decomposition import ComponentVector, _residual_checked_solve
-from wkbrec.roots import _spread
+from wkbrec.decomposition import ComponentVector, _residual_checked_solve, _step_arrays
+from wkbrec.roots import _spread, _vandermonde
 from conftest import sin_family
 
 
@@ -67,7 +73,7 @@ def wkb3_step_loops(Y, frame_now, frame_next, f_k):
 
 
 def wkb_general_step(Y, frame_now, frame_next, f_k):
-    return wkb_step_general(Y, frame_now, frame_next)[0]
+    return wkb_step_general(Y, frame_now, frame_next, f_k)[0]
 
 
 # the third-order formulas as written out above, and the library's own
@@ -143,10 +149,10 @@ def test_gauge_exact_matches_generic_steps(n, seed, eps, forced):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 8), seed=seeds, eps=epsilons)
-def test_wkb_general_matches_vandermonde_steps(n, seed, eps):
+@given(n=st.integers(2, 8), seed=seeds, eps=epsilons, forced=st.booleans())
+def test_wkb_general_matches_vandermonde_steps(n, seed, eps, forced):
     rng = np.random.default_rng(seed)
-    assert_driver_matches_reference(drifting_spec(rng, n, eps, False), "wkb-general", rng)
+    assert_driver_matches_reference(drifting_spec(rng, n, eps, forced), "wkb-general", rng)
 
 
 @settings(max_examples=30, deadline=None)
@@ -159,6 +165,66 @@ def test_wkb_general_matches_vandermonde_steps(n, seed, eps):
 def test_third_order_drivers_match_branch_formulas(method, seed, eps, forced):
     rng = np.random.default_rng(seed)
     assert_driver_matches_reference(drifting_spec(rng, 3, eps, forced), method, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), seed=seeds, eps=epsilons, forced=st.booleans())
+def test_companion_chain_equals_per_step_products(n, seed, eps, forced):
+    rng = np.random.default_rng(seed)
+    spec = drifting_spec(rng, n, eps, forced)
+    x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x, want = x0[::-1].copy(), list(x0)
+    for k in range(spec.k_start, spec.k_start + spec.horizon):
+        push = np.zeros(n, dtype=complex)
+        push[0] = -spec.forcing_value(k)
+        x = companion_matrix(spec, k) @ x + push
+        want.append(x[0])
+    assert np.array_equal(companion_propagate(spec, x0).values, want)
+
+
+def bjorck_pereyra(x, b):
+    """Solve the primal Vandermonde system ``sum_j x[j]**i z[j] = b[i]``,
+    i = 0 .. N-1, for every column of ``b`` in O(N^2) operations (Björck and
+    Pereyra, Math. Comp. 24 (1970) 893-903): Newton divided differences
+    without forming the matrix."""
+    z = np.array(b, dtype=complex)
+    n = len(x)
+    for k in range(n - 1):
+        for i in range(n - 1, k, -1):
+            z[i] -= x[k] * z[i - 1]
+    for k in range(n - 2, -1, -1):
+        for i in range(k + 1, n):
+            z[i] /= x[i] - x[i - k - 1]
+        for i in range(k, n - 1):
+            z[i] -= z[i + 1]
+    return z
+
+
+def test_bjorck_pereyra_solves_the_vandermonde_system(rng):
+    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    assert np.allclose(_vandermonde(x) @ bjorck_pereyra(x, b), b, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(6, 8), seed=seeds, eps=epsilons)
+def test_step_solve_matches_bjorck_pereyra(n, seed, eps):
+    # gauge-exact's batched solve M[k+1] [T | c] = [H[k+1] | e_N] against the
+    # O(N^2) Vandermonde solve, step by step, with H from the per-step builder
+    rng = np.random.default_rng(seed)
+    spec = drifting_spec(rng, n, eps, True)
+    frames = root_frames(spec)
+    roots = np.array([frame.roots for frame in frames])
+    ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
+    f, forcing = spec.table[: spec.horizon, :-1], spec.table[: spec.horizon, -1]
+    T, push = _step_arrays(_vandermonde(roots), f, forcing, ks)
+    e_n = np.eye(n)[:, -1]
+    for t in range(spec.horizon):
+        h = build_H(power_gauge(frames[t]), spec.coeff_array(ks[t]))
+        x = bjorck_pereyra(roots[t + 1], np.column_stack([h, e_n]))
+        want_T, want_push = x[:, :n], -forcing[t] * x[:, n]
+        assert np.max(np.abs(T[t] - want_T)) <= 1e-10 * np.max(np.abs(want_T))
+        assert np.max(np.abs(push[t] - want_push)) <= 1e-10 * np.max(np.abs(want_push))
 
 
 def squeeze_spec(n, k0, center):
@@ -246,8 +312,6 @@ def test_spread_is_last_column_of_vandermonde_inverse(n, rng):
 README_INITIAL = np.array([1 + 0.3j, 0.5 - 0.2j, 0.8 + 0.1j])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "methods, name, k",
     [

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -341,28 +342,42 @@ class TestGenerate:
         assert a.read_text() == b.read_text()
 
 
+def long_readme_scenario(outdir):
+    # the README family grows like 3**k and leaves double range at k=649
+    # of a 2000-step horizon
+    data = sweep_scenario(outdir)
+    for entry in data["coefficients"]:
+        entry["epsilon"] = 0.01
+    data.pop("epsilon_sweep")
+    data.update(
+        horizon=2000,
+        methods=["direct", "companion", "gauge-exact"],
+        output={"path": str(outdir), "format": "json"},
+    )
+    return data
+
+
 class TestNonFiniteOutput:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_run_exits_numerical_and_writes_nothing(self, tmp_path, capsys):
-        # the README family grows like 3**k and leaves double range at k=649
-        # of a 2000-step horizon: a breakdown, not a table full of NaN
+        # a breakdown, not a table full of NaN
         outdir = tmp_path / "out"
-        data = sweep_scenario(outdir)
-        for entry in data["coefficients"]:
-            entry["epsilon"] = 0.01
-        data.pop("epsilon_sweep")
-        data.update(
-            horizon=2000,
-            methods=["direct", "companion", "gauge-exact"],
-            output={"path": str(outdir), "format": "json"},
-        )
-        scenario = write_scenario(tmp_path / "long.json", data)
+        scenario = write_scenario(tmp_path / "long.json", long_readme_scenario(outdir))
         assert main(["run", scenario]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "method 'direct': non-finite value at index k=649" in err
         assert "Traceback" not in err
         assert not outdir.exists()
+
+    def test_overflow_is_reported_in_one_line_without_warnings(self, tmp_path, capsys):
+        # numpy's overflow warnings would quote a library source line; with
+        # warnings as errors they would escape as an exception instead
+        scenario = write_scenario(tmp_path / "long.json", long_readme_scenario(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", scenario]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical breakdown: method 'direct': non-finite value at index k=649\n"
+        )
 
     def test_overflow_past_the_horizon_writes_nothing(self, tmp_path, capsys):
         # at horizon 1 every method reads k = 0 and 1 only, but the resolved

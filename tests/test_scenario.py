@@ -87,7 +87,7 @@ class TestValidate:
     def test_homogeneous_only_method_with_forcing(self):
         data = base_scenario()
         data["forcing"] = {"variant": "constant", "value": "1"}
-        data["methods"] = ["wkb-general"]
+        data["methods"] = ["riccati"]
         diagnostics = validate_scenario_dict(data)
         assert any("zero forcing" in d for d in diagnostics)
 

@@ -237,7 +237,7 @@ class TestCompareMethods:
     def test_homogeneous_only_methods_reject_forcing(self, rng):
         spec = constant_spec([-6, 11, -6], horizon=10, forcing=1.0)
         with pytest.raises(ValueError, match="zero forcing"):
-            compare_methods(spec, complex_array(rng, 3), ["wkb-general"])
+            compare_methods(spec, complex_array(rng, 3), ["riccati"])
 
     def test_forced_methods_track_oracle(self, rng):
         spec = RecurrenceSpec(
@@ -330,3 +330,41 @@ class TestRobustness:
         table = compare_methods(spec, init, ["companion", "gauge-exact"])
         assert float(np.max(table.rel_errors["companion"])) < 1e-9
         assert float(np.max(table.rel_errors["gauge-exact"])) < 1e-8
+
+
+def forced_dominant_family(n, epsilon, horizon):
+    """Forced order-n family: n-1 roots near radius 1.2 and one near 3, spread
+    round the circle (a well-conditioned Vandermonde matrix), each wobbling
+    by 0.05 as a sinusoid in ``eps * k``, and a forcing sinusoidal in
+    ``eps * k``.  The dominant root keeps the solution away from zero, so
+    its largest relative error follows the WKB truncation error."""
+    rng = np.random.default_rng(n)
+    angles = 2 * np.pi * (np.arange(n) + 0.3 * rng.random(n)) / n
+    base = np.where(np.arange(n) == n - 1, 3.0, 1.2) * np.exp(1j * angles)
+    amp = 0.05 * np.exp(2j * np.pi * rng.random(n))
+    phase = rng.uniform(0, 2 * np.pi, n)
+    ks = np.arange(horizon + n + 1)[:, None]
+    paths = base + amp * np.sin(epsilon * ks + phase)
+    coeffs = np.array([np.poly(row)[::-1][:n] for row in paths])
+    return RecurrenceSpec(
+        order=n,
+        coeffs=tuple(Tabulated(values=coeffs[:, j], k_first=0) for j in range(n)),
+        k_start=0,
+        horizon=horizon,
+        forcing=SinusoidalInEpsK(0.5, 1.0 + 0.5j, epsilon=epsilon),
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wkb_general_tracks_the_forced_oracle(n):
+    init = np.ones(n, dtype=complex)
+
+    def worst(epsilon, horizon):
+        spec = forced_dominant_family(n, epsilon, horizon)
+        table = compare_methods(spec, init, ["wkb-general"])
+        return float(np.max(table.rel_errors["wkb-general"]))
+
+    # constant coefficients: the diagonal step and its forcing term are exact
+    assert worst(0.0, 100) < 1e-12
+    # at fixed eps * H = 2 the error is first order in eps
+    assert worst(0.005, 400) <= 0.6 * worst(0.01, 200)
