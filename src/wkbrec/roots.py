@@ -4,8 +4,9 @@ At each index k the frozen-coefficient characteristic polynomial
 
     p(rho) = rho^N + f[N-1](k) rho^(N-1) + ... + f[1](k) rho + f[0](k)
 
-has N complex roots.  :func:`root_frames` finds them for a whole index window
-in one batched pass: the eigenvalues of the stacked companion matrices,
+has N complex roots.  :func:`_root_table` finds them for a whole index window
+in one batched pass, as labelled ``(W, N)`` arrays (:func:`root_frames` is
+their list of frames): the eigenvalues of the stacked companion matrices,
 polished by simultaneous Aberth-Ehrlich sweeps until every root meets the
 residual bound of :func:`characteristic_roots`.  Branch labels are then
 carried along the window by matching each unordered root set to the one
@@ -163,8 +164,11 @@ def _residual_failure(f: np.ndarray, z: np.ndarray, tol: float):
     """Residuals of the roots ``z`` of each row of ``f``, and the first row
     breaking the bound as ``(row, NoConvergence)``, or None if none does.
 
-    The bound is ``|p(root)| <= tol * (1 + sum|f|) * max(1, |root|)**N``.
+    The bound is ``|p(root)| <= tol * (1 + sum|f|) * max(1, |root|)**N``;
+    a ``tol`` that is not positive and finite raises :class:`ValueError`.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"root tolerance must be positive and finite, got {tol!r}")
     residuals = np.abs(_polyval(_descending(f), z))
     scale = (1.0 + np.abs(f).sum(axis=-1, keepdims=True)) * np.maximum(
         1.0, np.abs(z)
@@ -369,35 +373,10 @@ def _polish(f: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, unsettled
 
 
-def _window_roots(f: np.ndarray, tol: float):
-    """Unordered roots and residuals of every row of a ``(W, N)`` coefficient
-    table, and the first failing row as ``(row, error)`` (None if none fails).
-
-    Rows from the failing one on are left out of the returned arrays, so
-    the caller can still label the rows before it.
-    """
-    failure = None
-    bad = ~np.isfinite(f).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        failure, f = (row, RecurrenceError("non-finite characteristic coefficient")), f[:row]
-    z, unsettled = _polish(f, np.linalg.eigvals(_companion(f)))
-    for row in np.flatnonzero(unsettled):
-        try:
-            z[row] = characteristic_roots(f[row], tol=tol)
-        except RecurrenceError as exc:
-            failure, f, z = (int(row), exc), f[:row], z[:row]
-            break
-    residuals, bad_residual = _residual_failure(f, z, tol)
-    if bad_residual is not None:
-        row = bad_residual[0]
-        failure, z, residuals = bad_residual, z[:row], residuals[:row]
-    return z, residuals, failure
-
-
-def _matches(roots: np.ndarray, ks) -> np.ndarray:
-    """Row t: for each root of unordered set t, the index of the root of set
-    t+1 that continues it (the assignment of :func:`track_branches`).
+def _matches(roots: np.ndarray, k_lo: int) -> np.ndarray:
+    """Row t: for each root of unordered set t (at index ``k_lo + t``), the
+    index of the root of set t+1 that continues it (the assignment of
+    :func:`track_branches`).
 
     The nearest-root map is taken as is when it is a permutation and the two
     smallest row gaps (second-nearest minus nearest distance) sum to well
@@ -418,8 +397,51 @@ def _matches(roots: np.ndarray, ks) -> np.ndarray:
         bound > _CERTIFY_MARGIN * TIE_THRESHOLD * scale
     )
     for t in np.flatnonzero(~certified):
-        nearest[t] = _best_assignment(prev[t], new[t], ks[t + 1])
+        nearest[t] = _best_assignment(prev[t], new[t], k_lo + t + 1)
     return nearest
+
+
+def _root_table(spec: RecurrenceSpec, k_lo: int, k_hi: int, tol: float):
+    """Labelled roots and residuals for ``k = k_lo .. k_hi`` as two ``(W, N)``
+    arrays: the batched pass of the module docstring, which
+    :func:`root_frames` lists frame by frame.
+
+    The first index outside the window raises :class:`IndexOutOfWindow`;
+    an empty range gives ``(0, N)`` arrays.  Rows whose polish does not
+    settle are solved by :func:`characteristic_roots` instead.  Row 0 is
+    labelled by ascending real, then imaginary part.  A failure raises the
+    error of the lowest failing index with that index attached: a
+    non-finite coefficient row, a root residual above ``tol``
+    (:class:`NoConvergence`) or a tracking tie (:class:`AmbiguousTracking`).
+    """
+    if k_hi < k_lo:
+        return np.empty((0, spec.order), dtype=complex), np.empty((0, spec.order))
+    spec.check_window(k_lo)
+    spec.check_window(min(k_hi, spec.window[1] + 1))
+    f = spec.table[k_lo - spec.k_start : k_hi - spec.k_start + 1, :-1]
+    error, stop = None, len(f)
+    bad = ~np.isfinite(f).all(axis=1)
+    if bad.any():
+        error, stop = RecurrenceError("non-finite characteristic coefficient"), int(np.argmax(bad))
+    z, unsettled = _polish(f[:stop], np.linalg.eigvals(_companion(f[:stop])))
+    for row in np.flatnonzero(unsettled):
+        try:
+            z[row] = characteristic_roots(f[row], tol=tol)
+        except RecurrenceError as exc:
+            error, stop = exc, int(row)
+            break
+    residuals, bad_residual = _residual_failure(f[:stop], z[:stop], tol)
+    if bad_residual is not None:
+        stop, error = bad_residual
+    z, residuals = z[:stop], residuals[:stop]
+    matches = _matches(z, k_lo)
+    if error is not None:
+        raise error.with_context(k=k_lo + stop) from error
+    labels = np.empty(z.shape, dtype=int)
+    labels[0] = np.lexsort((z[0].imag, z[0].real))
+    for t in range(1, len(z)):
+        labels[t] = matches[t - 1][labels[t - 1]]
+    return np.take_along_axis(z, labels, axis=1), np.take_along_axis(residuals, labels, axis=1)
 
 
 def root_frames(
@@ -428,40 +450,10 @@ def root_frames(
     k_hi: int | None = None,
     tol: float = DEFAULT_ROOT_TOL,
 ) -> list[RootFrame]:
-    """Tracked root frames for ``k = k_lo .. k_hi``.
-
-    Defaults to ``k_start .. k_start + horizon``, which is what one
-    propagation pass needs; a range reaching outside the spec's window
-    raises :class:`IndexOutOfWindow`.  The rows of ``spec.table`` for the
-    range have their roots found and labelled in one batched pass (see the
-    module docstring).  Rows whose polish does not settle are solved by
-    :func:`characteristic_roots` instead.  The first frame is labelled by
-    ascending real, then imaginary part.  A failure raises the error of the
-    lowest failing index, with that index attached: a non-finite
-    coefficient row, a root residual above ``tol`` (:class:`NoConvergence`),
-    or a tie in the tracking (:class:`AmbiguousTracking`).
-    """
+    """Tracked root frames for ``k = k_lo .. k_hi`` (by default ``k_start ..
+    k_start + horizon``, what one propagation pass needs), one per row of
+    :func:`_root_table`, which raises the errors."""
     k_lo = spec.k_start if k_lo is None else k_lo
     k_hi = spec.k_start + spec.horizon if k_hi is None else k_hi
-    ks = range(k_lo, k_hi + 1)
-    if not ks:
-        return []
-    # the first index outside the window raises, as index by index
-    spec.check_window(k_lo)
-    spec.check_window(min(k_hi, spec.window[1] + 1))
-    f = spec.table[k_lo - spec.k_start : k_hi - spec.k_start + 1, :-1]
-    roots, residuals, failure = _window_roots(f, tol)
-    frames: list[RootFrame] = []
-    if len(roots):
-        matches = _matches(roots, ks)
-        labels = np.lexsort((roots[0].imag, roots[0].real))
-        for t in range(len(roots)):
-            if t:
-                labels = matches[t - 1][labels]
-            frames.append(
-                RootFrame(k=ks[t], roots=roots[t, labels], residuals=residuals[t, labels])
-            )
-    if failure is not None:
-        row, error = failure
-        raise error.with_context(k=ks[row]) from error
-    return frames
+    roots, residuals = _root_table(spec, k_lo, k_hi, tol)
+    return [RootFrame(k_lo + t, roots[t], residuals[t]) for t in range(len(roots))]

@@ -44,10 +44,10 @@ from .roots import (
     _check_separation,
     _differences,
     _frames_checked,
+    _root_table,
     _spread,
     _vandermonde,
     power_gauge,
-    root_frames,
     vandermonde_inverse,
 )
 from .third_order import (
@@ -248,19 +248,21 @@ def compare_methods(
     """Run the requested methods and tabulate errors against the oracle.
 
     Method order is preserved (duplicates dropped); the oracle is the scalar
-    recursion, which ``direct`` reports as is.  The tracked roots are found
-    once, when the first method needing them runs (``riccati`` alone needs
-    only the first index).  Failures are re-raised with the method name and
-    step index attached; a non-finite value in a method's output, or in the
-    oracle, raises :class:`Breakdown` at the first index holding one.
+    recursion, which ``direct`` reports as is.  The root-based methods share
+    the ``(H+1, N)`` table of tracked roots from one batched pass, built when
+    the first method reading every row runs; ``riccati`` reads only row 0,
+    of that table or of a one-row pass, so a root-pass failure names a
+    method that reads the failing row.  Failures are re-raised with the
+    method name and step index attached; a non-finite value in a method's
+    output, or in the oracle, raises :class:`Breakdown` at the first index
+    holding one.
     """
     ordered = list(dict.fromkeys(methods))
     issues = check_methods(spec, ordered)
     if issues:
         raise ValueError("; ".join(issues))
     ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
-    span = () if any(_METHODS[n].roots == "all" for n in ordered) else (spec.k_start,) * 2
-    roots = None
+    roots = None  # the full table, built by the first method reading every row
     values: dict[str, np.ndarray] = {}
     # overflow is reported below as a Breakdown at its first index
     with np.errstate(over="ignore", invalid="ignore"):
@@ -268,9 +270,12 @@ def compare_methods(
         for name in ordered:
             method = _METHODS[name]
             try:
-                if roots is None and method.roots:
-                    roots = np.array([f.roots for f in root_frames(spec, *span, tol=root_tol)])
-                values[name] = method.driver(spec, initial, roots) if method.driver else oracle
+                if method.roots == "all" and roots is None:
+                    roots, _ = _root_table(spec, spec.k_start, ks[-1], root_tol)
+                rows = roots
+                if method.roots == "first" and roots is None:
+                    rows, _ = _root_table(spec, spec.k_start, spec.k_start, root_tol)
+                values[name] = method.driver(spec, initial, rows) if method.driver else oracle
             except RecurrenceError as exc:
                 raise type(exc)(
                     f"method '{name}': {exc.message}", k=exc.k, branch=exc.branch

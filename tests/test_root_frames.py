@@ -77,6 +77,14 @@ def spec_from_roots(paths, forcing=0.0):
     )
 
 
+def near_tie_spec():
+    # the family of test_near_tie_with_distinct_nearest_roots_is_ambiguous:
+    # tracking from k=3 to k=4 ties, so row 0 is sound and row 4 fails
+    before = [-1.0, 1.0, 3.0]
+    after = [-1e-13 + 1j, 1e-13 - 1j, 3.0]
+    return spec_from_roots([before] * 4 + [after] * 5)
+
+
 def base_roots(rng, n):
     # real parts at least 0.4 apart, so the first frame's label order is
     # decided far above rounding
@@ -231,6 +239,48 @@ class TestFailures:
         spec = spec_from_roots([before] * 4 + [after] * 5)
         assert outcome(lambda: reference_frames(spec)) == (AmbiguousTracking, 4)
         assert outcome(lambda: root_frames(spec)) == (AmbiguousTracking, 4)
+
+    @pytest.mark.parametrize("methods", [["riccati", "gauge-exact"], ["gauge-exact", "riccati"]])
+    def test_root_pass_failure_names_a_method_reading_that_row(self, methods):
+        # riccati reads only row 0, so the tie at k=4 is gauge-exact's
+        spec = near_tie_spec()
+        init = np.array([1.0, 0.5, 0.25])
+        compare_methods(spec, init, ["riccati"])
+        with pytest.raises(AmbiguousTracking) as info:
+            compare_methods(spec, init, methods)
+        assert info.value.k == 4
+        assert info.value.message.startswith("method 'gauge-exact': ")
+
+    @pytest.mark.parametrize("method", ["gauge-exact", "wkb-general"])
+    @pytest.mark.parametrize("family", ["near-tie", "nan-entry"])
+    def test_compare_methods_fails_like_root_frames(self, method, family):
+        spec = near_tie_spec()
+        if family == "nan-entry":
+            base = base_roots(np.random.default_rng(5), 4)
+            spec = spec_from_roots([base] * 25)
+            table = [m.values.copy() for m in spec.coeffs]
+            table[2][7] = np.nan
+            spec = replace(spec, coeffs=tuple(Tabulated(values=v, k_first=0) for v in table))
+        with pytest.raises(RecurrenceError) as want:
+            root_frames(spec)
+        with pytest.raises(RecurrenceError) as got:
+            compare_methods(spec, np.ones(spec.order), [method])
+        assert (type(want.value), want.value.k) == (
+            (AmbiguousTracking, 4) if family == "near-tie" else (RecurrenceError, 7)
+        )
+        assert (type(got.value), got.value.k) == (type(want.value), want.value.k)
+        assert str(got.value) == f"method '{method}': {want.value}"
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_root_tolerance_must_be_positive_and_finite(self, tol, cubic123_spec):
+        calls = [
+            lambda: characteristic_roots([-6.0, 11.0, -6.0], tol=tol),
+            lambda: root_frames(cubic123_spec, tol=tol),
+            lambda: compare_methods(cubic123_spec, np.ones(3), ["gauge-exact"], root_tol=tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="root tolerance must be positive and finite"):
+                call()
 
     def test_failed_fallback_names_its_index(self, monkeypatch):
         # every row falls back to the scalar solver, which fails from the

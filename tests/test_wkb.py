@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,6 +29,7 @@ from wkbrec import (
     wkb_diagonal_gain,
     wkb_step_general,
 )
+from wkbrec.roots import DEFAULT_ROOT_TOL, _root_table
 from conftest import complex_array, constant_spec, sin_family
 
 
@@ -287,14 +290,16 @@ class TestCompareMethods:
 class TestSharedFrames:
     @pytest.fixture
     def frame_calls(self, monkeypatch):
+        # one entry per root-table pass: () for the full span, else its range
         calls = []
-        original = wkb.root_frames
+        original = wkb._root_table
 
-        def counting(spec, *args, **kwargs):
-            calls.append(args)
-            return original(spec, *args, **kwargs)
+        def counting(spec, k_lo, k_hi, tol):
+            full = (k_lo, k_hi) == (spec.k_start, spec.k_start + spec.horizon)
+            calls.append(() if full else (k_lo, k_hi))
+            return original(spec, k_lo, k_hi, tol)
 
-        monkeypatch.setattr(wkb, "root_frames", counting)
+        monkeypatch.setattr(wkb, "_root_table", counting)
         return calls
 
     def test_one_frame_pass_for_every_method(self, frame_calls, rng):
@@ -311,6 +316,33 @@ class TestSharedFrames:
         spec = sin_family(epsilon=0.01, horizon=40, k_start=5)
         compare_methods(spec, complex_array(rng, 3), ["riccati"])
         assert frame_calls == [(5, 5)]
+
+
+class TestOneRootTable:
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_list_view_and_run_path_see_the_same_numbers(self, n, rng):
+        spec = replace(
+            sin_family_order(n, epsilon=0.01, horizon=40, rng=rng),
+            k_start=6,
+            forcing=SinusoidalInEpsK(0.4, 0.2, epsilon=0.01),
+        )
+        frames = root_frames(spec, 9, 30)
+        roots, residuals = _root_table(spec, 9, 30, DEFAULT_ROOT_TOL)
+        assert np.array_equal(np.array([f.roots for f in frames]), roots)
+        assert np.array_equal(np.array([f.residuals for f in frames]), residuals)
+
+        names = [
+            name
+            for name, method in wkb._METHODS.items()
+            if method.roots == "all" and not wkb.check_methods(spec, [name])
+        ]
+        assert len(names) == (4 if n == 3 else 2)
+        init = complex_array(rng, n)
+        table = compare_methods(spec, init, names)
+        listed = np.array([f.roots for f in root_frames(spec)])
+        for name in names:
+            got = wkb._METHODS[name].driver(spec, init, listed)
+            assert np.array_equal(got, table.values[name]), name
 
 
 class TestRobustness:
