@@ -11,8 +11,10 @@ Subcommands:
 re/im column pair per method, a per-step relative-error table against the
 scalar-recursion oracle, the resolved scenario (all models tabulated, which
 re-ingests to reproduce the run), and, when the scenario carries a sweep
-list, a terminal-error summary per parameter value.  All numbers are
-formatted with 17 significant digits and files are written atomically, so
+list, a terminal-error summary per parameter value.  CSV numbers are
+formatted with 17 significant digits (``%.17g``), JSON numbers with the
+shortest ``repr`` that reads back to the same double (the text of
+``json.dumps(..., indent=2)``), and files are written atomically, so
 identical scenarios produce byte-identical output.
 
 Exit codes: 0 success, 2 schema error, 3 numerical breakdown, 4 I/O error.
@@ -27,6 +29,7 @@ import os
 import sys
 import tempfile
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +51,13 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _num(x: float) -> float:
+def _floats(values) -> list[float]:
     # +0.0 and -0.0 must serialise identically for byte-stable output
-    return float(x) + 0.0
+    return (np.asarray(values, dtype=float) + 0.0).tolist()
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % _num(x)
+def _fmt(values) -> list[str]:
+    return ["%.17g" % x for x in _floats(values)]
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -70,10 +73,48 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _repr_numbers(flat: list) -> map | None:
+    """``repr`` of each item, which is how json writes a finite int or float;
+    None unless every item is one.  The type test is exact, so bools and
+    numpy scalars are left to json, as are a non-finite float (json raises)
+    and an int past float range (json writes it)."""
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        finite = all(map(math.isfinite, flat))
+    except OverflowError:
+        finite = False
+    return map(repr, flat) if finite else None
+
+
+def _emit(obj, pad: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, allow_nan=False)`` writes it
+    at indentation ``pad``.  Dicts with string keys and lists recurse, and a
+    list of numbers or of ``[number, number]`` pairs is one join; any other
+    value is written by json itself."""
+    inner = pad + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = (json.dumps(key) + ": " + _emit(value, inner) for key, value in obj.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if type(obj) is list and obj:
+        items = _repr_numbers(obj)
+        if items is None and all(type(item) is list and len(item) == 2 for item in obj):
+            numbers = _repr_numbers(list(chain.from_iterable(obj)))
+            if numbers is not None:
+                pair_pad = inner + "  "
+                row = "[\n" + pair_pad + "%s,\n" + pair_pad + "%s\n" + inner + "]"
+                items = map(row.__mod__, zip(numbers, numbers))
+        if items is None:
+            items = (_emit(item, inner) for item in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+
+
 def _json_text(payload) -> str:
-    # every written file is strict JSON: a NaN or infinity is an error, never
-    # a bare token (_execute rejects non-finite values before this)
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The text of ``json.dumps(payload, indent=2, allow_nan=False)`` plus a
+    newline: every written file is strict JSON, so a NaN or infinity raises
+    ``ValueError`` (_execute rejects non-finite values before this)."""
+    return _emit(payload, "") + "\n"
 
 
 def _csv(columns: dict[str, list[str]]) -> str:
@@ -83,37 +124,38 @@ def _csv(columns: dict[str, list[str]]) -> str:
 
 
 def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
+    k = list(map(int, table.k.tolist()))
     if fmt == "json":
         methods = {
-            name: {"re": [_num(v.real) for v in vals], "im": [_num(v.imag) for v in vals]}
+            name: {"re": _floats(vals.real), "im": _floats(vals.imag)}
             for name, vals in table.values.items()
         }
-        return _json_text({"k": [int(k) for k in table.k], "methods": methods})
-    columns = {"k": [str(int(k)) for k in table.k]}
+        return _json_text({"k": k, "methods": methods})
+    columns = {"k": list(map(str, k))}
     for name, values in table.values.items():
-        columns[f"{name}_re"] = [_fmt(v.real) for v in values]
-        columns[f"{name}_im"] = [_fmt(v.imag) for v in values]
+        columns[f"{name}_re"] = _fmt(values.real)
+        columns[f"{name}_im"] = _fmt(values.imag)
     return _csv(columns)
 
 
 def _error_tables(table: ComparisonTable, fmt: str) -> str:
+    k = list(map(int, table.k.tolist()))
     if fmt == "json":
-        errors = {name: [_num(e) for e in errs] for name, errs in table.rel_errors.items()}
-        return _json_text({"k": [int(k) for k in table.k], "relative_error": errors})
-    columns = {"k": [str(int(k)) for k in table.k]}
+        errors = {name: _floats(errs) for name, errs in table.rel_errors.items()}
+        return _json_text({"k": k, "relative_error": errors})
+    columns = {"k": list(map(str, k))}
     for name, errs in table.rel_errors.items():
-        columns[f"{name}_relerr"] = [_fmt(e) for e in errs]
+        columns[f"{name}_relerr"] = _fmt(errs)
     return _csv(columns)
 
 
 def _sweep_table(result: SweepResult, fmt: str) -> str:
     if fmt == "json":
-        errors = {n: [_num(v) for v in e] for n, e in result.terminal_errors.items()}
-        epsilons = [_num(e) for e in result.epsilons]
-        return _json_text({"epsilon": epsilons, "terminal_relative_error": errors})
-    columns = {"epsilon": [_fmt(e) for e in result.epsilons]}
+        errors = {n: _floats(e) for n, e in result.terminal_errors.items()}
+        return _json_text({"epsilon": _floats(result.epsilons), "terminal_relative_error": errors})
+    columns = {"epsilon": _fmt(result.epsilons)}
     for name, errs in result.terminal_errors.items():
-        columns[f"{name}_terminal_relerr"] = [_fmt(v) for v in errs]
+        columns[f"{name}_terminal_relerr"] = _fmt(errs)
     return _csv(columns)
 
 
@@ -245,7 +287,7 @@ def _cmd_generate(args) -> int:
         for line in diagnostics:
             print(line, file=sys.stderr)
         return EXIT_SCHEMA
-    text = json.dumps(data, indent=2) + "\n"
+    text = _json_text(data)
     try:
         if args.out:
             _atomic_write(Path(args.out), text)

@@ -25,6 +25,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -74,26 +75,42 @@ class Scenario:
     output_format: str
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _finite(x) -> bool:
+    """``math.isfinite``, reading an int past the float range as infinite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def parse_complex(value) -> complex:
     """Accept real numbers, [re, im] pairs, and decimal strings like '1-2.5j'.
 
     NaN and infinite parts are rejected: JSON readers accept bare ``NaN``
     and ``Infinity``, but no model value or initial value may be non-finite.
+    Neither may an integer past the float range, nor a boolean.
     """
     z = None
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
-    if isinstance(value, (int, float)):
-        z = complex(value)
-    elif isinstance(value, str):
-        try:
-            z = complex(value.replace(" ", ""))
-        except ValueError:
-            pass
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        re, im = value
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            z = complex(re, im)
+    try:
+        if _number(value):
+            z = complex(value)
+        elif isinstance(value, str):
+            try:
+                z = complex(value.replace(" ", ""))
+            except ValueError:
+                pass
+        elif isinstance(value, (list, tuple)) and len(value) == 2:
+            re, im = value
+            if _number(re) and _number(im):
+                z = complex(re, im)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"not a finite number: {value!r}") from None
     if z is None:
         raise ValueError(f"cannot parse complex number from {value!r}")
     if not cmath.isfinite(z):
@@ -101,8 +118,33 @@ def parse_complex(value) -> complex:
     return z
 
 
+def _pair_array(raw) -> np.ndarray | None:
+    """``[parse_complex(v) for v in raw]`` as one array when ``raw`` is a
+    nonempty list of finite ``[re, im]`` int or float pairs, which
+    ``parse_complex`` accepts as they are; None for any other input, which
+    then takes the per-value path and its diagnostics."""
+    if not (type(raw) is list and raw and all(type(v) is list and len(v) == 2 for v in raw)):
+        return None
+    flat = list(chain.from_iterable(raw))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        parts = np.array(flat, dtype=float)
+    except OverflowError:
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    # the view keeps each part's bits, -0.0 included (re + 1j * im would not)
+    return parts.view(complex)
+
+
 def _parse_real(value, name: str) -> float:
-    x = float(value)
+    if isinstance(value, bool):
+        raise ValueError(f"'{name}' must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"'{name}' must be finite, got {value!r}")
     return x
@@ -127,7 +169,9 @@ def _parse_model(entry, where: str, errors: list[str]) -> CoefficientModel | Non
         if variant == "constant":
             return Constant(parse_complex(entry["value"]))
         if variant == "tabulated":
-            values = [parse_complex(v) for v in entry["values"]]
+            values = _pair_array(entry["values"])
+            if values is None:
+                values = [parse_complex(v) for v in entry["values"]]
             k_first = entry["k_first"]
             if not isinstance(k_first, int) or isinstance(k_first, bool):
                 raise ValueError(f"'k_first' must be an integer, got {k_first!r}")
@@ -231,8 +275,8 @@ def _build(data) -> tuple[Scenario | None, list[str]]:
         if (
             not isinstance(raw, list)
             or not raw
-            or not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in raw)
-            or not all(math.isfinite(e) and e >= 0 for e in raw)
+            or not all(map(_number, raw))
+            or not all(_finite(e) and e >= 0 for e in raw)
         ):
             errors.append(
                 "'epsilon_sweep' must be a nonempty list of finite nonnegative numbers"
@@ -302,7 +346,7 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8, and an int past 4300 digits
             raise ScenarioError([f"not valid JSON: {exc}"]) from exc
     return scenario_from_dict(data)
 
