@@ -18,6 +18,8 @@ shortest ``repr`` that reads back to the same double (the text of
 identical scenarios produce byte-identical output.
 
 Exit codes: 0 success, 2 schema error, 3 numerical breakdown, 4 I/O error.
+Subcommands raise, and only :func:`main` reports a failure: one line on
+stderr, except that ``validate`` lists its diagnostics on stdout.
 """
 
 from __future__ import annotations
@@ -36,13 +38,7 @@ import numpy as np
 
 from .errors import RecurrenceError
 from .roots import DEFAULT_ROOT_TOL
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    load_scenario,
-    resolved_dict,
-    validate_scenario_dict,
-)
+from .scenario import ScenarioError, load_scenario, resolved_dict, scenario_from_dict
 from .wkb import ComparisonTable, SweepResult, _check_finite, compare_methods, epsilon_sweep
 
 EXIT_OK = 0
@@ -159,22 +155,8 @@ def _sweep_table(result: SweepResult, fmt: str) -> str:
     return _csv(columns)
 
 
-def _load(path: str) -> Scenario:
-    if not os.path.exists(path):
-        raise OSError(f"no such file: {path}")
-    return load_scenario(path)
-
-
 def _cmd_validate(args) -> int:
-    try:
-        load_scenario(args.scenario)
-    except ScenarioError as exc:
-        for line in exc.diagnostics:
-            print(line)
-        return EXIT_SCHEMA
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    load_scenario(args.scenario)
     return EXIT_OK
 
 
@@ -182,42 +164,23 @@ def _execute(args, sweep_only: bool) -> int:
     """``run`` and ``sweep``: load, compute everything, then format and
     write one file at a time (only one output text is held at once)."""
     stem = Path(args.scenario).stem
-    try:
-        scenario = _load(args.scenario)
-    except ScenarioError as exc:
-        for line in exc.diagnostics:
-            print(line, file=sys.stderr)
-        return EXIT_SCHEMA
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    scenario = load_scenario(args.scenario)
     epsilons = scenario.epsilon_sweep
     if sweep_only:
         epsilons = args.epsilons if args.epsilons else epsilons
         if not epsilons:
-            print(
-                "no sweep values: scenario has no 'epsilon_sweep' and no --epsilons given",
-                file=sys.stderr,
-            )
-            return EXIT_SCHEMA
+            missing = "no sweep values: scenario has no 'epsilon_sweep' and no --epsilons given"
+            raise ScenarioError([missing])
     spec, initial, methods = scenario.spec, scenario.initial, scenario.methods
-    try:
-        table = None
-        if not sweep_only:
-            table = compare_methods(spec, initial, methods, root_tol=args.tolerance)
-        sweep = None
-        if epsilons:
-            sweep = epsilon_sweep(spec, initial, methods, epsilons, root_tol=args.tolerance)
-        if table is not None:  # the resolved file tabulates N indices past the horizon
-            ks = spec.k_start + np.arange(len(spec.table))
-            _check_finite(spec.table, ks, "coefficient table")
-    except RecurrenceError as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SCHEMA
+    table = None
+    if not sweep_only:
+        table = compare_methods(spec, initial, methods, root_tol=args.tolerance)
+    sweep = None
+    if epsilons:
+        sweep = epsilon_sweep(spec, initial, methods, epsilons, root_tol=args.tolerance)
+    if table is not None:  # the resolved file tabulates N indices past the horizon
+        ks = spec.k_start + np.arange(len(spec.table))
+        _check_finite(spec.table, ks, "coefficient table")
 
     outdir = Path(args.output_dir) if args.output_dir else Path(scenario.output_path)
     fmt = args.format if args.format else scenario.output_format
@@ -230,12 +193,8 @@ def _execute(args, sweep_only: bool) -> int:
         ]
     if sweep is not None:
         files.append((f"{stem}_sweep.{fmt}", lambda: _sweep_table(sweep, fmt)))
-    try:
-        for name, text in files:
-            _atomic_write(outdir / name, text())
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for name, text in files:
+        _atomic_write(outdir / name, text())
     # ``run`` names its two tables, ``sweep`` its one
     named = [name for name, _ in files[: 1 if sweep_only else 2]]
     print(f"wrote {', '.join(named)} to {outdir}")
@@ -281,21 +240,13 @@ def _cmd_generate(args) -> int:
         "methods": ["direct", "companion", "gauge-exact"],
         "output": {"path": ".", "format": "csv"},
     }
-    diagnostics = validate_scenario_dict(data)
-    if diagnostics:
-        # a draw can land on a degenerate problem; report rather than retry
-        for line in diagnostics:
-            print(line, file=sys.stderr)
-        return EXIT_SCHEMA
+    # a draw can land on a degenerate problem; report rather than retry
+    scenario_from_dict(data)
     text = _json_text(data)
-    try:
-        if args.out:
-            _atomic_write(Path(args.out), text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.out:
+        _atomic_write(Path(args.out), text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -368,8 +319,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, and turn its failure into a message and exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioError as exc:
+        stream = sys.stdout if args.command == "validate" else sys.stderr
+        for line in exc.diagnostics:
+            print(line, file=stream)
+        return EXIT_SCHEMA
+    except RecurrenceError as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ValueError as exc:  # the library's other input errors
+        print(str(exc), file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

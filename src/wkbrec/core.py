@@ -167,6 +167,8 @@ class RecurrenceSpec:
                 f"expected {self.order} coefficient models, got {len(self.coeffs)}"
             )
         lo, hi = self.window
+        if lo < -(2**63) or hi >= 2**63:
+            raise ValueError(f"the index window [{lo}, {hi}] must fit in int64")
         table = np.empty((hi - lo + 1, self.order + 1), dtype=complex)
         for j, model in enumerate((*self.coeffs, self.forcing)):
             table[:, j] = model.sample(lo, hi)

@@ -157,7 +157,6 @@ def _run_power_gauge(spec, initial, roots, kernel=None):
     gives the step matrices or diagonals from the roots at k and k+1 (the
     forcing is spread by :func:`_spread`); no kernel means the exact step."""
     ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
-    _check_separation(roots, ks)
     gauge = GaugeSet(k=spec.k_start, g=_vandermonde(roots[0])[1:])
     Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge)
     f, forcing = spec.table[: spec.horizon, :-1], spec.table[: spec.horizon, -1]
@@ -249,13 +248,13 @@ def compare_methods(
 
     Method order is preserved (duplicates dropped); the oracle is the scalar
     recursion, which ``direct`` reports as is.  The root-based methods share
-    the ``(H+1, N)`` table of tracked roots from one batched pass, built when
-    the first method reading every row runs; ``riccati`` reads only row 0,
-    of that table or of a one-row pass, so a root-pass failure names a
-    method that reads the failing row.  Failures are re-raised with the
-    method name and step index attached; a non-finite value in a method's
-    output, or in the oracle, raises :class:`Breakdown` at the first index
-    holding one.
+    the ``(H+1, N)`` table of tracked roots from one batched pass, built and
+    checked for root separation when the first method reading every row
+    runs; ``riccati`` reads only row 0, of that table or of a one-row pass,
+    so a root-pass failure names a method that reads the failing row.
+    Failures are re-raised with the method name and step index attached; a
+    non-finite value in a method's output, or in the oracle, raises
+    :class:`Breakdown` at the first index holding one.
     """
     ordered = list(dict.fromkeys(methods))
     issues = check_methods(spec, ordered)
@@ -272,6 +271,7 @@ def compare_methods(
             try:
                 if method.roots == "all" and roots is None:
                     roots, _ = _root_table(spec, spec.k_start, ks[-1], root_tol)
+                    _check_separation(roots, ks)
                 rows = roots
                 if method.roots == "first" and roots is None:
                     rows, _ = _root_table(spec, spec.k_start, spec.k_start, root_tol)

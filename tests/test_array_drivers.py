@@ -265,6 +265,16 @@ def test_degenerate_roots_fail_like_the_step_path(n, k0, center, method):
     assert got == want
 
 
+@pytest.mark.parametrize("methods", [["wkb3", "gauge-exact"], ["gauge-exact", "wkb3"]])
+def test_degenerate_roots_name_the_first_method_reading_the_table(methods):
+    # the shared table is checked once, inside the first method that reads it
+    spec = squeeze_spec(3, 4, 1.5)
+    with pytest.raises(DegenerateRoots) as info:
+        compare_methods(spec, np.full(3, 1.0 + 0.5j), methods)
+    assert info.value.k == 4
+    assert info.value.message.startswith(f"method '{methods[0]}': ")
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=seeds,

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wkbrec
+from wkbrec import cli
 from wkbrec.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 
 
@@ -24,6 +30,22 @@ def fibonacci_scenario(outdir):
         ],
         "initial": ["0", "1"],
         "methods": ["direct", "companion"],
+        "output": {"path": str(outdir), "format": "csv"},
+    }
+
+
+def degenerate_scenario(outdir):
+    # equal constant roots make the power gauge degenerate
+    return {
+        "order": 2,
+        "k_start": 0,
+        "horizon": 5,
+        "coefficients": [
+            {"variant": "constant", "value": "1"},
+            {"variant": "constant", "value": "-2"},
+        ],
+        "initial": ["1", "1"],
+        "methods": ["gauge-exact"],
         "output": {"path": str(outdir), "format": "csv"},
     }
 
@@ -175,20 +197,7 @@ class TestRun:
         assert main(["run", str(tmp_path / "absent.json")]) == EXIT_IO
 
     def test_numerical_breakdown_exit_code(self, tmp_path, capsys):
-        # equal constant roots make the power gauge degenerate
-        data = {
-            "order": 2,
-            "k_start": 0,
-            "horizon": 5,
-            "coefficients": [
-                {"variant": "constant", "value": "1"},
-                {"variant": "constant", "value": "-2"},
-            ],
-            "initial": ["1", "1"],
-            "methods": ["gauge-exact"],
-            "output": {"path": str(tmp_path), "format": "csv"},
-        }
-        scenario = write_scenario(tmp_path / "deg.json", data)
+        scenario = write_scenario(tmp_path / "deg.json", degenerate_scenario(tmp_path))
         assert main(["run", scenario]) == EXIT_NUMERICAL
         assert "breakdown" in capsys.readouterr().err
 
@@ -274,7 +283,7 @@ class TestNonFiniteInput:
 
     def test_tolerance_must_be_positive_and_finite(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "fib.json", fibonacci_scenario(tmp_path))
-        for value in ("-1", "0", "nan", "inf"):
+        for value in ("-1", "0", "nan", "inf", "abc"):
             with pytest.raises(SystemExit) as info:
                 main(["run", scenario, "--tolerance", value])
             assert info.value.code == EXIT_SCHEMA
@@ -322,6 +331,22 @@ class TestSweep:
         scenario = write_scenario(tmp_path / "sw.json", data)
         assert main(["sweep", scenario]) == EXIT_SCHEMA
 
+    def test_json_table_is_strict_and_equals_the_csv_table(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        scenario = write_scenario(tmp_path / "sw.json", sweep_scenario(tmp_path))
+        assert main(["sweep", scenario, "--format", "json"]) == EXIT_OK
+        payload = json.loads((tmp_path / "sw_sweep.json").read_text(), parse_constant=reject)
+        assert main(["sweep", scenario]) == EXIT_OK
+        header, rows = read_csv(tmp_path / "sw_sweep.csv")
+        assert header == ["epsilon", "wkb-general_terminal_relerr"]
+        # %.17g reads back to the same double, so equal floats are equal bits
+        assert payload["epsilon"] == [float(row[0]) for row in rows]
+        assert payload["terminal_relative_error"] == {
+            "wkb-general": [float(row[1]) for row in rows]
+        }
+
 
 class TestGenerate:
     def test_generated_scenario_validates_and_runs(self, tmp_path):
@@ -332,6 +357,11 @@ class TestGenerate:
         data["output"]["path"] = str(tmp_path)
         write_scenario(out, data)
         assert main(["run", str(out)]) == EXIT_OK
+
+    def test_rejected_draw_is_reported_on_stderr(self, capsys):
+        assert main(["generate", "--order", "9"]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "'order' must be in [2, 8], got 9\n")
 
     def test_seed_changes_draw(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -410,3 +440,133 @@ def test_resolved_file_is_pinned(tmp_path):
     data = (tmp_path / "out" / "mixed_resolved.json").read_bytes()
     digest = "b707729389f805d7b473bc8eedbb482558328568c2a491a3d21a66a4b90ebe9d"
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def readme_window(outdir, k_start, horizon):
+    data = sweep_scenario(outdir)
+    data.pop("epsilon_sweep")
+    data.update(k_start=k_start, horizon=horizon, methods=["direct", "gauge-exact"])
+    return data
+
+
+class TestIndexWindow:
+    # the window [k_start, k_start + horizon + 3] must fit int64; past it the
+    # index arrays would overflow or turn into floats
+    @pytest.mark.parametrize(
+        "k_start, horizon",
+        [(10**20, 200), (-(10**20), 200), (2**63 - 10, 20), (2**63 - 23, 20)],
+    )
+    def test_window_outside_int64_is_a_schema_error(self, tmp_path, capsys, k_start, horizon):
+        outdir = tmp_path / "out"
+        scenario = write_scenario(tmp_path / "w.json", readme_window(outdir, k_start, horizon))
+        line = f"the index window [{k_start}, {k_start + horizon + 3}] must fit in int64\n"
+        assert main(["validate", scenario]) == EXIT_SCHEMA
+        assert capsys.readouterr().out == line
+        assert main(["run", scenario]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == line
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("k_start", [2**63 - 1 - 23, -(2**63)])
+    def test_window_at_the_int64_edge_runs(self, tmp_path, k_start):
+        scenario = write_scenario(tmp_path / "w.json", readme_window(tmp_path, k_start, 20))
+        assert main(["validate", scenario]) == EXIT_OK
+        assert main(["run", scenario]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "w_trajectory.csv")
+        assert [row[0] for row in rows] == [str(k) for k in range(k_start, k_start + 21)]
+
+
+class TestFailureReport:
+    """``main`` alone turns a failure into its message, stream and exit code."""
+
+    def invoke(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_schema_error_lists_diagnostics_on_stdout_for_validate_only(self, tmp_path, capsys):
+        data = fibonacci_scenario(tmp_path)
+        data["order"] = 77
+        scenario = write_scenario(tmp_path / "bad.json", data)
+        line = "'order' must be in [2, 8], got 77\n"
+        assert self.invoke(capsys, ["validate", scenario]) == (EXIT_SCHEMA, line, "")
+        assert self.invoke(capsys, ["run", scenario]) == (EXIT_SCHEMA, "", line)
+        assert self.invoke(capsys, ["sweep", scenario]) == (EXIT_SCHEMA, "", line)
+
+    def test_missing_sweep_values_is_a_schema_error(self, tmp_path, capsys):
+        data = sweep_scenario(tmp_path)
+        data.pop("epsilon_sweep")
+        scenario = write_scenario(tmp_path / "sw.json", data)
+        line = "no sweep values: scenario has no 'epsilon_sweep' and no --epsilons given\n"
+        assert self.invoke(capsys, ["sweep", scenario]) == (EXIT_SCHEMA, "", line)
+
+    def test_numerical_breakdown(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "deg.json", degenerate_scenario(tmp_path))
+        line = (
+            "numerical breakdown: method 'gauge-exact': "
+            "root separation below threshold at index k=0\n"
+        )
+        assert self.invoke(capsys, ["run", scenario]) == (EXIT_NUMERICAL, "", line)
+
+    def test_root_residual_above_tolerance_is_one_line(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "sw.json", sweep_scenario(tmp_path / "out"))
+        code, out, err = self.invoke(capsys, ["run", scenario, "--tolerance", "1e-18"])
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("numerical breakdown: method 'wkb-general': root residual ")
+        assert err.count("\n") == 1
+        assert " above tolerance at index k=0 branch " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_other_value_error_is_a_schema_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("refused by the library")
+
+        monkeypatch.setattr(cli, "compare_methods", refuse)
+        scenario = write_scenario(tmp_path / "fib.json", fibonacci_scenario(tmp_path))
+        line = "refused by the library\n"
+        assert self.invoke(capsys, ["run", scenario]) == (EXIT_SCHEMA, "", line)
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_missing_file_is_an_io_error(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.json"
+        line = f"i/o error: [Errno 2] No such file or directory: '{path}'\n"
+        assert self.invoke(capsys, [command, str(path)]) == (EXIT_IO, "", line)
+
+
+def test_entry_point_reports_like_main(tmp_path):
+    """``python -m wkbrec.cli`` as a separate process: exit code, stdout and
+    stderr of a success and of each kind of failure."""
+    env = {**os.environ, "PYTHONPATH": str(Path(wkbrec.__file__).resolve().parents[1])}
+
+    def cli_process(*argv, flags=()):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "wkbrec.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=300,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    valid = write_scenario(tmp_path / "ok.json", fibonacci_scenario(tmp_path))
+    assert cli_process("validate", valid) == (EXIT_OK, "", "")
+    data = fibonacci_scenario(tmp_path)
+    data["order"] = 77
+    invalid = write_scenario(tmp_path / "bad.json", data)
+    assert cli_process("validate", invalid) == (
+        EXIT_SCHEMA,
+        "'order' must be in [2, 8], got 77\n",
+        "",
+    )
+    missing = tmp_path / "absent.json"
+    assert cli_process("validate", str(missing)) == (
+        EXIT_IO,
+        "",
+        f"i/o error: [Errno 2] No such file or directory: '{missing}'\n",
+    )
+    long = write_scenario(tmp_path / "long.json", long_readme_scenario(tmp_path / "out"))
+    assert cli_process("run", long, flags=("-W", "error")) == (
+        EXIT_NUMERICAL,
+        "",
+        "numerical breakdown: method 'direct': non-finite value at index k=649\n",
+    )

@@ -95,6 +95,14 @@ class TestSpecValidation:
                 horizon=10,
             )
 
+    def test_window_must_fit_int64(self):
+        # order 2, horizon 1: the window is [k_start, k_start + 3]
+        for k_start in (2**63 - 3, -(2**63) - 1, 10**20):
+            with pytest.raises(ValueError, match=r"the index window \[.*\] must fit in int64"):
+                constant_spec([-1.0, -1.0], horizon=1, k_start=k_start)
+        for k_start in (2**63 - 4, -(2**63)):
+            assert constant_spec([-1.0, -1.0], horizon=1, k_start=k_start).window[0] == k_start
+
     def test_tabulated_must_cover_window(self):
         values = np.ones(5)
         with pytest.raises(IndexOutOfWindow):

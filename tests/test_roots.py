@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from wkbrec import (
     AmbiguousTracking,
     DegenerateRoots,
+    NoConvergence,
     RootFrame,
     ZeroCoefficient,
     characteristic_roots,
@@ -47,6 +48,10 @@ class TestCharacteristicRoots:
     def test_cubic_with_integer_roots(self):
         roots = characteristic_roots(np.array([-6, 11, -6], dtype=complex))
         assert_allclose(sorted_roots(roots), [1, 2, 3], atol=1e-10)
+
+    def test_residual_above_tolerance_raises(self):
+        with pytest.raises(NoConvergence, match=r"root residual \S+ above tolerance"):
+            characteristic_roots(np.array([-6, 11, -6], dtype=complex), tol=1e-18)
 
     def test_golden_ratio_quadratic(self):
         roots = characteristic_roots(np.array([-1, -1], dtype=complex))

@@ -206,6 +206,16 @@ class TestDecoupledStep:
         b = explicit_step(ComponentVector(k=0, y=y), frame(r, 0), frame(r, 1), f_k)
         assert_allclose(a.y, b.y, rtol=1e-12)
 
+    def test_constant_branches_need_no_row_after(self, rng):
+        # for constant branches the Vandermonde determinant of g1_next is the
+        # gauge determinant, so the step without g1_row_after is exact
+        Y = ComponentVector(k=0, y=complex_array(rng, 3))
+        r = complex_array(rng, 3)
+        f_k = 0.7 - 0.3j
+        fallback = decoupled_step(Y, r, r, f_k)
+        exact = decoupled_step(Y, r, r, f_k, g1_row_after=r)
+        assert np.max(np.abs(fallback.y - exact.y)) <= 1e-14 * np.max(np.abs(exact.y))
+
     def test_forced_step_matches_generic_with_row_after(self, rng):
         # with the k+2 branch values supplied, the forced decoupled step must
         # agree with the generic gauge step under the branch gauge; the basis

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from wkbrec import wkb
 from wkbrec import (
     ComponentVector,
+    NoConvergence,
     RecurrenceSpec,
     RootFrame,
     SinusoidalInEpsK,
@@ -306,6 +308,31 @@ class TestSharedFrames:
         spec = sin_family(epsilon=0.01, horizon=40)
         compare_methods(spec, complex_array(rng, 3), wkb.METHOD_NAMES)
         assert frame_calls == [()]
+
+    def test_one_separation_check_for_every_method(self, monkeypatch, rng):
+        calls = []
+        original = wkb._check_separation
+
+        def counting(roots, ks):
+            calls.append(len(ks))
+            return original(roots, ks)
+
+        monkeypatch.setattr(wkb, "_check_separation", counting)
+        spec = sin_family(epsilon=0.01, horizon=200)
+        compare_methods(spec, complex_array(rng, 3), wkb.METHOD_NAMES)
+        assert calls == [201]
+
+    def test_root_residual_failure_names_the_first_method_reading_the_row(self, rng):
+        spec = sin_family(epsilon=0.01, horizon=200, k_start=5)
+        with pytest.raises(NoConvergence) as info:
+            compare_methods(
+                spec, complex_array(rng, 3), ["riccati", "gauge-exact"], root_tol=1e-18
+            )
+        assert re.fullmatch(
+            r"method 'riccati': root residual \S+ above tolerance", info.value.message
+        )
+        assert info.value.k == 5
+        assert info.value.branch in range(3)
 
     def test_baselines_compute_no_frames(self, frame_calls, rng):
         spec = sin_family(epsilon=0.01, horizon=40)
