@@ -39,7 +39,7 @@ import numpy as np
 from .errors import RecurrenceError
 from .roots import DEFAULT_ROOT_TOL
 from .scenario import ScenarioError, load_scenario, resolved_dict, scenario_from_dict
-from .wkb import ComparisonTable, SweepResult, _check_finite, compare_methods, epsilon_sweep
+from .wkb import ComparisonTable, SweepResult, _check_finite, _sweep, compare_methods
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -176,8 +176,9 @@ def _execute(args, sweep_only: bool) -> int:
     if not sweep_only:
         table = compare_methods(spec, initial, methods, root_tol=args.tolerance)
     sweep = None
-    if epsilons:
-        sweep = epsilon_sweep(spec, initial, methods, epsilons, root_tol=args.tolerance)
+    if epsilons:  # a sweep value on the run's own problem reuses its table
+        known = {} if table is None else {spec.table.tobytes(): table}
+        sweep = _sweep(spec, initial, methods, epsilons, args.tolerance, known)
     if table is not None:  # the resolved file tabulates N indices past the horizon
         ks = spec.k_start + np.arange(len(spec.table))
         _check_finite(spec.table, ks, "coefficient table")

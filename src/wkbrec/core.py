@@ -280,17 +280,43 @@ def companion_matrix(spec: RecurrenceSpec, k: int) -> np.ndarray:
     return _companion(eval_coeffs(spec, k)[:-1])
 
 
-def _chain(Y0: np.ndarray, T: np.ndarray, push: np.ndarray) -> np.ndarray:
-    """States ``(H+1, N)`` of the chain ``Y[s+1] = T[s] Y[s] + push[s]`` from
-    ``Y0``; ``T`` holds the step matrices ``(H, N, N)`` or their diagonals
-    ``(H, N)``.  Every compared method but the scalar recursion steps on it."""
-    if T.ndim == 2:
-        T = T[..., None] * np.eye(T.shape[1])
-    Y = np.empty((len(T) + 1, len(Y0)), dtype=complex)
-    Y[0] = Y0
+def _chain(Y0: np.ndarray, T, push) -> np.ndarray:
+    """States ``(M, H+1, N)`` of M chains ``Y[m, s+1] = T[m][s] Y[m, s] +
+    push[m][s]``, stepped together from the rows of ``Y0`` ``(M, N)``.
+    ``T[m]`` holds chain m's step matrices ``(H, N, N)`` or their diagonals
+    ``(H, N)``, and ``push[m]`` its forcing terms ``(H, N)``.  Every compared
+    method but the scalar recursion steps on it.
+
+    Each index takes one batched product ``(M, N, N) @ (M, N, 1)``, which
+    numpy computes bit for bit as the M products ``(N, N) @ (N,)``, so a
+    chain's states do not depend on the chains stepped beside it.  A lone
+    chain steps in 2-D, which is faster per step than a batch of one, and
+    its step matrices are not copied."""
+    M, N = np.shape(Y0)
+    T = [t[..., None] * np.eye(N) if t.ndim == 2 else t for t in T]
+    if M == 1:
+        T, push, Y = T[0], push[0], np.empty((len(T[0]) + 1, N), dtype=complex)
+    else:
+        T, push = np.stack(T, axis=1), np.stack(push, axis=1)[..., None]
+        Y = np.empty((len(T) + 1, M, N, 1), dtype=complex)
+    Y[0] = np.reshape(Y0, Y.shape[1:])
     for s in range(len(T)):
         Y[s + 1] = T[s] @ Y[s] + push[s]
-    return Y
+    return np.reshape(Y, (len(Y), M, N)).swapaxes(0, 1)
+
+
+def _companion_chain(spec: RecurrenceSpec, initial) -> tuple[np.ndarray, ...]:
+    """Chain inputs of the stacked window: the initial window reversed
+    (newest value first), the companion matrices and
+    ``push = (-f(k), 0, ..., 0)``."""
+    initial = np.asarray(initial, dtype=complex)
+    n = spec.order
+    if initial.shape != (n,):
+        raise ValueError(f"initial data must have length {n}")
+    rows = spec.table[: spec.horizon]
+    push = np.zeros((spec.horizon, n), dtype=complex)
+    push[:, 0] = -rows[:, -1]
+    return initial[::-1], _companion(rows[:, :-1]), push
 
 
 def companion_propagate(spec: RecurrenceSpec, initial) -> ScalarTrajectory:
@@ -300,12 +326,6 @@ def companion_propagate(spec: RecurrenceSpec, initial) -> ScalarTrajectory:
     scalar recursion with the forcing moved to the right-hand side.  The
     result is the same trajectory as :func:`direct_solve` up to rounding.
     """
-    initial = np.asarray(initial, dtype=complex)
-    n = spec.order
-    if initial.shape != (n,):
-        raise ValueError(f"initial data must have length {n}")
-    rows = spec.table[: spec.horizon]
-    push = np.zeros((spec.horizon, n), dtype=complex)
-    push[:, 0] = -rows[:, -1]
-    X = _chain(initial[::-1], _companion(rows[:, :-1]), push)  # newest value first
-    return ScalarTrajectory(values=np.concatenate((initial, X[1:, 0])), k_start=spec.k_start)
+    X0, T, push = _companion_chain(spec, initial)
+    X = _chain(X0[None], [T], [push])[0]
+    return ScalarTrajectory(values=np.concatenate((X0[::-1], X[1:, 0])), k_start=spec.k_start)

@@ -11,12 +11,14 @@ is the slowly-varying (WKB) approximation for arbitrary order.
 :func:`compare_methods` runs any subset of the named propagation methods on
 one problem and tabulates per-step relative errors against the scalar
 recursion oracle; :func:`epsilon_sweep` repeats that over a list of
-slow-variation parameters.  There each decomposed method is two arrays over
-the ``(H+1, N)`` table of tracked roots, the step matrices ``T`` (or their
-diagonals) and the forcing terms ``push``, fed to one chain
-``Y[k+1] = T[k] Y[k] + push[k]``; the per-step functions are its references.
-Each method's driver, the root rows it reads and its restrictions are one
-row of the method table.
+slow-variation parameters, computing each distinct coefficient table once.
+There each decomposed method is two arrays over the ``(H+1, N)`` table of
+tracked roots, the step matrices ``T`` (or their diagonals) and the forcing
+terms ``push``, for the chain ``Y[k+1] = T[k] Y[k] + push[k]``; the per-step
+functions are its references.  Each method's setup, which gives its chain
+inputs and the readout of its states, the root rows it reads and its
+restrictions are one row of the method table.  All of a problem's methods
+step in one chain loop, one batched product per index.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RecurrenceSpec, _chain, companion_propagate, direct_solve
+from .core import RecurrenceSpec, _chain, _companion_chain, direct_solve
 from .decomposition import (
     ComponentVector,
     GaugeSet,
@@ -152,7 +154,21 @@ class SweepResult:
     terminal_errors: dict[str, np.ndarray]
 
 
-def _run_power_gauge(spec, initial, roots, kernel=None):
+class _Chained(NamedTuple):
+    """One method's chain inputs, the start state ``Y0`` ``(N,)``, the step
+    arrays ``T`` and the forcing terms ``push``, and ``read``, which turns
+    the chain's states ``(H+1, N)`` into the method's values."""
+
+    Y0: np.ndarray
+    T: np.ndarray
+    push: np.ndarray
+    read: Callable[[np.ndarray], np.ndarray]
+
+
+_branch_sum = partial(np.sum, axis=1)
+
+
+def _power_gauge_chain(spec, initial, roots, kernel=None) -> _Chained:
     """A power-gauge method over the ``(H+1, N)`` root table: ``kernel(r, R)``
     gives the step matrices or diagonals from the roots at k and k+1 (the
     forcing is spread by :func:`_spread`); no kernel means the exact step."""
@@ -164,14 +180,16 @@ def _run_power_gauge(spec, initial, roots, kernel=None):
         T, push = _step_arrays(_vandermonde(roots), f, forcing, ks)
     else:
         T, push = kernel(roots[:-1], roots[1:]), -forcing[:, None] * _spread(roots[1:])
-    return _chain(Y0.y, T, push).sum(axis=1)
+    return _Chained(Y0.y, T, push, _branch_sum)
 
 
-def _run_companion(spec, initial, roots):
-    return companion_propagate(spec, initial).values[: spec.horizon + 1]
+def _companion_method_chain(spec, initial, roots) -> _Chained:
+    X0, T, push = _companion_chain(spec, initial)
+    # the initial window, then the newest value of each state
+    return _Chained(X0, T, push, lambda X: np.concatenate((X0[::-1], X[1:, 0]))[: len(X)])
 
 
-def _run_riccati(spec, initial, roots):
+def _riccati_chain(spec, initial, roots) -> _Chained:
     # Scalar solutions seeded from each root at the window start; their ratio
     # sequences decouple the system, so each component is multiplied by its
     # branch ratio per step (the running products of product_solution).
@@ -182,31 +200,43 @@ def _run_riccati(spec, initial, roots):
     gauge0 = riccati_gauge(branches, spec.k_start)
     Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge0)
     gains = np.stack([b.p1[: spec.horizon] for b in branches], axis=1)
-    return _chain(Y0.y, gains, np.zeros_like(gains)).sum(axis=1)
+    return _Chained(Y0.y, gains, np.zeros_like(gains), _branch_sum)
+
+
+def _run_chains(chained: list[_Chained]) -> list[np.ndarray]:
+    """Values of each method, from one chain that steps them all."""
+    states = _chain(
+        np.stack([c.Y0 for c in chained]), [c.T for c in chained], [c.push for c in chained]
+    )
+    return [c.read(Y) for c, Y in zip(chained, states)]
 
 
 class _Method(NamedTuple):
-    """One row of the method table: the driver ``(spec, initial, roots) ->
-    values`` over the table of tracked roots (None for ``direct``, which
-    reports the oracle itself), the root rows it reads (``"all"``, ``"first"``
-    or None) and its restrictions."""
+    """One row of the method table: ``setup(spec, initial, roots)`` gives the
+    method's chain inputs from the table of tracked roots (None for
+    ``direct``, which reports the oracle itself), the root rows it reads
+    (``"all"``, ``"first"`` or None) and its restrictions."""
 
-    driver: Callable | None = None
+    setup: Callable[..., _Chained] | None = None
     roots: str | None = None
     order3_only: bool = False
     homogeneous_only: bool = False
 
+    def driver(self, spec, initial, roots) -> np.ndarray:
+        """The method's values on its own: the chain with one member."""
+        return _run_chains([self.setup(spec, initial, roots)])[0]
+
 
 _METHODS = {
     "direct": _Method(),
-    "companion": _Method(_run_companion),
-    "gauge-exact": _Method(_run_power_gauge, "all"),
+    "companion": _Method(_companion_method_chain),
+    "gauge-exact": _Method(_power_gauge_chain, "all"),
     "explicit3": _Method(
-        partial(_run_power_gauge, kernel=_explicit3_matrix), "all", order3_only=True
+        partial(_power_gauge_chain, kernel=_explicit3_matrix), "all", order3_only=True
     ),
-    "wkb3": _Method(partial(_run_power_gauge, kernel=_wkb3_gain), "all", order3_only=True),
-    "riccati": _Method(_run_riccati, "first", order3_only=True, homogeneous_only=True),
-    "wkb-general": _Method(partial(_run_power_gauge, kernel=_wkb_gain), "all"),
+    "wkb3": _Method(partial(_power_gauge_chain, kernel=_wkb3_gain), "all", order3_only=True),
+    "riccati": _Method(_riccati_chain, "first", order3_only=True, homogeneous_only=True),
+    "wkb-general": _Method(partial(_power_gauge_chain, kernel=_wkb_gain), "all"),
 }
 METHOD_NAMES = tuple(_METHODS)
 
@@ -250,11 +280,14 @@ def compare_methods(
     recursion, which ``direct`` reports as is.  The root-based methods share
     the ``(H+1, N)`` table of tracked roots from one batched pass, built and
     checked for root separation when the first method reading every row
-    runs; ``riccati`` reads only row 0, of that table or of a one-row pass,
-    so a root-pass failure names a method that reads the failing row.
-    Failures are re-raised with the method name and step index attached; a
-    non-finite value in a method's output, or in the oracle, raises
-    :class:`Breakdown` at the first index holding one.
+    sets up; ``riccati`` reads only row 0, of that table or of a one-row
+    pass, so a root-pass failure names a method that reads the failing row.
+    Every method but ``direct`` then steps on one chain, all methods in one
+    loop.  Failures are re-raised with the method name and step index
+    attached; a non-finite value in a method's output, or in the oracle,
+    raises :class:`Breakdown` at the first index holding one.  The first
+    failing method in the requested order is the one reported: a setup
+    error is raised only after the methods before it stepped finitely.
     """
     ordered = list(dict.fromkeys(methods))
     issues = check_methods(spec, ordered)
@@ -262,7 +295,8 @@ def compare_methods(
         raise ValueError("; ".join(issues))
     ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
     roots = None  # the full table, built by the first method reading every row
-    values: dict[str, np.ndarray] = {}
+    chained: dict[str, _Chained | None] = {}
+    failure = None
     # overflow is reported below as a Breakdown at its first index
     with np.errstate(over="ignore", invalid="ignore"):
         oracle = direct_solve(spec, initial).values[: spec.horizon + 1]
@@ -275,12 +309,23 @@ def compare_methods(
                 rows = roots
                 if method.roots == "first" and roots is None:
                     rows, _ = _root_table(spec, spec.k_start, spec.k_start, root_tol)
-                values[name] = method.driver(spec, initial, rows) if method.driver else oracle
-            except RecurrenceError as exc:
+                chained[name] = method.setup(spec, initial, rows) if method.setup else None
+            except (RecurrenceError, ValueError) as exc:
+                failure = name, exc  # raised once the methods before it stepped
+                break
+        values = dict.fromkeys(chained, oracle)  # direct reports the oracle
+        stepped = {name: c for name, c in chained.items() if c is not None}
+        if stepped:
+            values.update(zip(stepped, _run_chains(list(stepped.values()))))
+        for name, v in values.items():
+            _check_finite(v, ks, f"method '{name}'")
+        if failure is not None:
+            name, exc = failure
+            if isinstance(exc, RecurrenceError):
                 raise type(exc)(
                     f"method '{name}': {exc.message}", k=exc.k, branch=exc.branch
                 ) from exc
-            _check_finite(values[name], ks, f"method '{name}'")
+            raise exc
         _check_finite(oracle, ks, "oracle (scalar recursion)")
     rel_errors = {name: _relative_errors(v, oracle) for name, v in values.items()}
     return ComparisonTable(k=ks, oracle=oracle, values=values, rel_errors=rel_errors)
@@ -293,14 +338,31 @@ def epsilon_sweep(
     epsilons,
     root_tol: float = DEFAULT_ROOT_TOL,
 ) -> SweepResult:
-    """Terminal relative error of each method over a slow-variation sweep."""
+    """Terminal relative error of each method over a slow-variation sweep.
+
+    A value whose coefficient table is bit-equal to one already computed
+    (a repeated value, or a problem that does not depend on epsilon) reuses
+    that :class:`ComparisonTable`: ``compare_methods`` is a deterministic
+    function of the table, the window, the initial values, the methods and
+    the tolerance, so the result is the same."""
+    return _sweep(spec, initial, methods, epsilons, root_tol, {})
+
+
+def _sweep(spec, initial, methods, epsilons, root_tol, tables: dict) -> SweepResult:
+    """:func:`epsilon_sweep` that first looks each value up in ``tables``:
+    the ``ComparisonTable`` of each problem with this spec's window, initial
+    values, methods and tolerance, keyed by the bytes of its coefficient
+    table.  ``run`` passes in the table of the scenario's own problem."""
     ordered = list(dict.fromkeys(methods))
     eps = np.asarray(list(epsilons), dtype=float)
     terminal: dict[str, list[float]] = {name: [] for name in ordered}
     for value in eps:
-        table = compare_methods(spec.with_epsilon(float(value)), initial, ordered, root_tol)
+        problem = spec.with_epsilon(float(value))
+        key = problem.table.tobytes()
+        if key not in tables:
+            tables[key] = compare_methods(problem, initial, ordered, root_tol)
         for name in ordered:
-            terminal[name].append(table.terminal_error(name))
+            terminal[name].append(tables[key].terminal_error(name))
     return SweepResult(
         epsilons=eps,
         terminal_errors={name: np.asarray(v) for name, v in terminal.items()},

@@ -9,7 +9,9 @@ formulas written out branch by branch.  Driver and reference must agree to
 1e-12 relative, and must fail with the same error at the same index.  The
 companion chain must equal its per-step products bit for bit, and the
 batched gauge-exact solve must agree with the Björck-Pereyra Vandermonde
-solve.
+solve.  One chain steps all of a problem's methods together; each chain's
+states, and each method's values, must equal those of the chain run alone,
+bit for bit.
 """
 
 import numpy as np
@@ -40,8 +42,10 @@ from wkbrec import (
     wkb3_step,
     wkb_step_general,
 )
+from wkbrec import wkb
+from wkbrec.core import _chain
 from wkbrec.decomposition import ComponentVector, _residual_checked_solve, _step_arrays
-from wkbrec.roots import _spread, _vandermonde
+from wkbrec.roots import DEFAULT_ROOT_TOL, _spread, _vandermonde
 from conftest import sin_family
 
 
@@ -180,6 +184,63 @@ def test_companion_chain_equals_per_step_products(n, seed, eps, forced):
         x = companion_matrix(spec, k) @ x + push
         want.append(x[0])
     assert np.array_equal(companion_propagate(spec, x0).values, want)
+
+
+def stepped_alone(Y0, T, push):
+    """One chain, one ``(N, N) @ (N,)`` product per index."""
+    if T.ndim == 2:
+        T = T[..., None] * np.eye(len(Y0))
+    Y = [Y0]
+    for s in range(len(T)):
+        Y.append(T[s] @ Y[-1] + push[s])
+    return np.array(Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    kinds=st.lists(st.sampled_from(["diagonal", "full"]), min_size=1, max_size=6),
+    seed=seeds,
+    forced=st.booleans(),
+)
+def test_batched_chain_equals_each_chain_alone(n, kinds, seed, forced):
+    # Bit-equality rests on numpy computing the batched product
+    # (M, N, N) @ (M, N, 1) as the M products (N, N) @ (N,); einsum and
+    # 1-D @ 2-D products may round differently, so this pins the kernel.
+    rng = np.random.default_rng(seed)
+    horizon, m = 25, len(kinds)
+    Y0 = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    shapes = {"diagonal": (horizon, n), "full": (horizon, n, n)}
+    T = [
+        (rng.standard_normal(shapes[kind]) + 1j * rng.standard_normal(shapes[kind])) / n
+        for kind in kinds
+    ]
+    push = [
+        rng.standard_normal((horizon, n)) + 1j * rng.standard_normal((horizon, n))
+        if forced
+        else np.zeros((horizon, n), dtype=complex)
+        for _ in kinds
+    ]
+    states = _chain(Y0, T, push)
+    assert states.shape == (m, horizon + 1, n)
+    for i in range(m):
+        alone = _chain(Y0[i : i + 1], T[i : i + 1], push[i : i + 1])[0]
+        assert np.array_equal(states[i], alone)
+        assert np.array_equal(alone, stepped_alone(Y0[i], T[i], push[i]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), seed=seeds, eps=epsilons, forced=st.booleans())
+def test_each_method_reads_the_values_of_its_chain_alone(n, seed, eps, forced):
+    rng = np.random.default_rng(seed)
+    spec = drifting_spec(rng, n, eps, forced)
+    names = [name for name in wkb.METHOD_NAMES if not wkb.check_methods(spec, [name])]
+    initial = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    table = compare_methods(spec, initial, names)
+    roots = np.array([f.roots for f in root_frames(spec)])
+    for name in names[1:]:  # every method but direct
+        alone = wkb._METHODS[name].driver(spec, initial, roots)
+        assert np.array_equal(alone, table.values[name]), name
 
 
 def bjorck_pereyra(x, b):
@@ -345,3 +406,40 @@ def test_large_finite_values_pass_the_check():
     spec = sin_family(epsilon=0.01, horizon=600)
     table = compare_methods(spec, README_INITIAL, ["direct", "gauge-exact"])
     assert np.max(np.abs(table.oracle)) > 1e250
+
+
+def nan_coefficient_family(k_nan):
+    """The README family at horizon 2000, tabulated, with a NaN f[1] at
+    ``k_nan``: the root pass fails there, while every method is set up."""
+    f = sin_family(epsilon=0.01, horizon=2000).table[:, :-1].copy()
+    f[k_nan, 1] = np.nan
+    return RecurrenceSpec(
+        order=3,
+        coeffs=tuple(Tabulated(values=f[:, j], k_first=0) for j in range(3)),
+        k_start=0,
+        horizon=2000,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, root_tol, error, k",
+    [
+        (nan_coefficient_family(1500), DEFAULT_ROOT_TOL, RecurrenceError, 1500),
+        (sin_family(epsilon=0.01, horizon=2000), -1.0, ValueError, None),
+    ],
+    ids=["root-pass", "tolerance"],
+)
+def test_first_failing_method_in_order_is_reported(spec, root_tol, error, k):
+    # All chain inputs are built before any chain steps, yet an earlier
+    # method's Breakdown (the companion chain overflows at k=648) beats a
+    # later method's setup error, and the reverse order reports the latter.
+    with pytest.raises(Breakdown) as info:
+        compare_methods(spec, README_INITIAL, ["companion", "gauge-exact"], root_tol)
+    assert info.value.k == 648
+    assert "method 'companion': non-finite value" in str(info.value)
+    with pytest.raises(error) as info:
+        compare_methods(spec, README_INITIAL, ["gauge-exact", "companion"], root_tol)
+    assert type(info.value) is error
+    if k is not None:
+        assert info.value.k == k
+        assert info.value.message.startswith("method 'gauge-exact': ")

@@ -348,6 +348,64 @@ class TestSweep:
         }
 
 
+def readme_scenario(outdir, epsilon):
+    """The README scenario with every model at ``epsilon``; its sweep is
+    0.02, 0.01, 0.005."""
+    data = sweep_scenario(outdir)
+    for model in data["coefficients"]:
+        model["epsilon"] = epsilon
+    data["methods"] = ["direct", "companion", "gauge-exact", "wkb3"]
+    return data
+
+
+class TestSweepReuse:
+    """``run`` computes its own problem once, for its tables and for a sweep
+    value with the same coefficient table."""
+
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(wkbrec.wkb, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(wkbrec.wkb, name, counted)
+        return calls
+
+    def run_and_sweep(self, tmp_path, monkeypatch, epsilon):
+        scenario = write_scenario(tmp_path / "readme.json", readme_scenario(tmp_path, epsilon))
+        tables = self.count_calls(monkeypatch, "_root_table")
+        chains = self.count_calls(monkeypatch, "_chain")
+        assert main(["run", scenario, "--output-dir", str(tmp_path / "run")]) == EXIT_OK
+        counts = len(tables), len(chains)
+        assert main(["sweep", scenario, "--output-dir", str(tmp_path / "sweep")]) == EXIT_OK
+        ran = (tmp_path / "run" / "readme_sweep.csv").read_bytes()
+        assert ran == (tmp_path / "sweep" / "readme_sweep.csv").read_bytes()
+        return counts
+
+    def test_sweep_value_of_the_run_problem_reuses_its_table(self, tmp_path, monkeypatch):
+        # the run at eps=0.01 and the sweep values 0.02, 0.005: one root
+        # table and one chain loop each
+        counts = self.run_and_sweep(tmp_path, monkeypatch, 0.01)
+        assert counts == (3, 3)
+
+    def test_other_epsilon_computes_every_sweep_value(self, tmp_path, monkeypatch):
+        counts = self.run_and_sweep(tmp_path, monkeypatch, 0.015)
+        assert counts == (4, 4)
+
+    def test_sweep_without_epsilon_dependence_computes_once(self, tmp_path, monkeypatch):
+        data = fibonacci_scenario(tmp_path)
+        data["epsilon_sweep"] = [0.02, 0.01, 0.0]
+        scenario = write_scenario(tmp_path / "fib.json", data)
+        chains = self.count_calls(monkeypatch, "_chain")
+        assert main(["sweep", scenario]) == EXIT_OK
+        assert len(chains) == 1
+        _, rows = read_csv(tmp_path / "fib_sweep.csv")
+        assert [float(r[0]) for r in rows] == [0.02, 0.01, 0.0]
+        assert len({r[1] for r in rows}) == 1
+
+
 class TestGenerate:
     def test_generated_scenario_validates_and_runs(self, tmp_path):
         out = tmp_path / "gen.json"
