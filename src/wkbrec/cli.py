@@ -15,7 +15,9 @@ list, a terminal-error summary per parameter value.  CSV numbers are
 formatted with 17 significant digits (``%.17g``), JSON numbers with the
 shortest ``repr`` that reads back to the same double (the text of
 ``json.dumps(..., indent=2)``), and files are written atomically, so
-identical scenarios produce byte-identical output.
+identical scenarios produce byte-identical output.  The JSON writer takes
+int64, float64 and complex128 columns as they are, a complex one written as
+its ``[re, im]`` pairs.
 
 Exit codes: 0 success, 2 schema error, 3 numerical breakdown, 4 I/O error.
 Subcommands raise, and only :func:`main` reports a failure: one line on
@@ -31,14 +33,13 @@ import os
 import sys
 import tempfile
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import RecurrenceError
 from .roots import DEFAULT_ROOT_TOL
-from .scenario import ScenarioError, load_scenario, resolved_dict, scenario_from_dict
+from .scenario import ScenarioError, _resolved_payload, load_scenario, scenario_from_dict
 from .wkb import ComparisonTable, SweepResult, _check_finite, _sweep, compare_methods
 
 EXIT_OK = 0
@@ -46,14 +47,13 @@ EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-
-def _floats(values) -> list[float]:
-    # +0.0 and -0.0 must serialise identically for byte-stable output
-    return (np.asarray(values, dtype=float) + 0.0).tolist()
+# the arrays the JSON writer formats itself: the index, value and table columns
+_ARRAY_DTYPES = {np.dtype(np.int64), np.dtype(float), np.dtype(complex)}
 
 
 def _fmt(values) -> list[str]:
-    return ["%.17g" % x for x in _floats(values)]
+    # +0.0 and -0.0 must print identically for byte-stable output
+    return ["%.17g" % x for x in (np.asarray(values, dtype=float) + 0.0).tolist()]
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -69,47 +69,36 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _repr_numbers(flat: list) -> map | None:
-    """``repr`` of each item, which is how json writes a finite int or float;
-    None unless every item is one.  The type test is exact, so bools and
-    numpy scalars are left to json, as are a non-finite float (json raises)
-    and an int past float range (json writes it)."""
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        finite = all(map(math.isfinite, flat))
-    except OverflowError:
-        finite = False
-    return map(repr, flat) if finite else None
-
-
 def _emit(obj, pad: str) -> str:
     """``obj`` as ``json.dumps(obj, indent=2, allow_nan=False)`` writes it
-    at indentation ``pad``.  Dicts with string keys and lists recurse, and a
-    list of numbers or of ``[number, number]`` pairs is one join; any other
-    value is written by json itself."""
+    at indentation ``pad``.  Dicts with string keys and lists recurse; a 1-D
+    array of ``_ARRAY_DTYPES`` is one ``%`` format of a repeated row template
+    (``%r`` is json's number text); json writes any other value."""
     inner = pad + "  "
     if type(obj) is dict and obj and all(type(key) is str for key in obj):
         items = (json.dumps(key) + ": " + _emit(value, inner) for key, value in obj.items())
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype in _ARRAY_DTYPES:
+        if not obj.size:
+            return "[]"
+        if not np.isfinite(obj).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        row, numbers = "%r", obj
+        if obj.dtype.kind == "c":  # the view keeps each part's bits, -0.0 included
+            numbers = np.ascontiguousarray(obj).view(float)
+            row = "[\n" + inner + "  %r,\n" + inner + "  %r\n" + inner + "]"
+        rows = (",\n" + inner).join([row] * len(obj))
+        return "[\n" + inner + rows % tuple(numbers.tolist()) + "\n" + pad + "]"
     if type(obj) is list and obj:
-        items = _repr_numbers(obj)
-        if items is None and all(type(item) is list and len(item) == 2 for item in obj):
-            numbers = _repr_numbers(list(chain.from_iterable(obj)))
-            if numbers is not None:
-                pair_pad = inner + "  "
-                row = "[\n" + pair_pad + "%s,\n" + pair_pad + "%s\n" + inner + "]"
-                items = map(row.__mod__, zip(numbers, numbers))
-        if items is None:
-            items = (_emit(item, inner) for item in obj)
+        items = (_emit(item, inner) for item in obj)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return json.dumps(obj, indent=2, allow_nan=False).replace("\n", "\n" + pad)
 
 
 def _json_text(payload) -> str:
-    """The text of ``json.dumps(payload, indent=2, allow_nan=False)`` plus a
-    newline: every written file is strict JSON, so a NaN or infinity raises
-    ``ValueError`` (_execute rejects non-finite values before this)."""
+    """``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline, an
+    array standing for its ``tolist()`` (a complex one for its [re, im]
+    pairs).  A NaN or infinity raises ``ValueError``, as in json."""
     return _emit(payload, "") + "\n"
 
 
@@ -120,14 +109,13 @@ def _csv(columns: dict[str, list[str]]) -> str:
 
 
 def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
-    k = list(map(int, table.k.tolist()))
     if fmt == "json":
         methods = {
-            name: {"re": _floats(vals.real), "im": _floats(vals.imag)}
+            name: {"re": vals.real + 0.0, "im": vals.imag + 0.0}
             for name, vals in table.values.items()
         }
-        return _json_text({"k": k, "methods": methods})
-    columns = {"k": list(map(str, k))}
+        return _json_text({"k": table.k, "methods": methods})
+    columns = {"k": list(map(str, table.k.tolist()))}
     for name, values in table.values.items():
         columns[f"{name}_re"] = _fmt(values.real)
         columns[f"{name}_im"] = _fmt(values.imag)
@@ -135,11 +123,10 @@ def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
 
 
 def _error_tables(table: ComparisonTable, fmt: str) -> str:
-    k = list(map(int, table.k.tolist()))
     if fmt == "json":
-        errors = {name: _floats(errs) for name, errs in table.rel_errors.items()}
-        return _json_text({"k": k, "relative_error": errors})
-    columns = {"k": list(map(str, k))}
+        errors = {name: errs + 0.0 for name, errs in table.rel_errors.items()}
+        return _json_text({"k": table.k, "relative_error": errors})
+    columns = {"k": list(map(str, table.k.tolist()))}
     for name, errs in table.rel_errors.items():
         columns[f"{name}_relerr"] = _fmt(errs)
     return _csv(columns)
@@ -147,8 +134,8 @@ def _error_tables(table: ComparisonTable, fmt: str) -> str:
 
 def _sweep_table(result: SweepResult, fmt: str) -> str:
     if fmt == "json":
-        errors = {n: _floats(e) for n, e in result.terminal_errors.items()}
-        return _json_text({"epsilon": _floats(result.epsilons), "terminal_relative_error": errors})
+        errors = {n: e + 0.0 for n, e in result.terminal_errors.items()}
+        return _json_text({"epsilon": result.epsilons + 0.0, "terminal_relative_error": errors})
     columns = {"epsilon": _fmt(result.epsilons)}
     for name, errs in result.terminal_errors.items():
         columns[f"{name}_terminal_relerr"] = _fmt(errs)
@@ -190,7 +177,7 @@ def _execute(args, sweep_only: bool) -> int:
         files += [
             (f"{stem}_trajectory.{fmt}", lambda: _trajectory_tables(table, fmt)),
             (f"{stem}_errors.{fmt}", lambda: _error_tables(table, fmt)),
-            (f"{stem}_resolved.json", lambda: _json_text(resolved_dict(scenario))),
+            (f"{stem}_resolved.json", lambda: _json_text(_resolved_payload(scenario))),
         ]
     if sweep is not None:
         files.append((f"{stem}_sweep.{fmt}", lambda: _sweep_table(sweep, fmt)))

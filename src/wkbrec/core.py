@@ -30,6 +30,11 @@ MIN_ORDER = 2
 MAX_ORDER = 8
 
 
+def _float_indices(lo: int, hi: int) -> np.ndarray:
+    """``float(k)`` for ``k = lo .. hi``, as ``x * k`` converts an int ``k``."""
+    return (lo + np.arange(hi - lo + 1)).astype(float)
+
+
 class CoefficientModel:
     """A complex-valued sequence over integer indices, ``model(k) -> complex``.
 
@@ -108,6 +113,16 @@ class PolynomialInEpsK(CoefficientModel):
             acc = acc * x + c
         return acc
 
+    def sample(self, lo: int, hi: int) -> np.ndarray:
+        """``self(k)`` for ``k = lo .. hi``, bit for bit: the same Horner
+        steps, on arrays (a complex times a real rounds once per part)."""
+        acc = np.zeros(hi - lo + 1, dtype=complex)
+        with np.errstate(all="ignore"):  # overflow is inf or nan, as in __call__
+            x = self.epsilon * _float_indices(lo, hi)
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+        return acc
+
     def with_epsilon(self, epsilon: float) -> "PolynomialInEpsK":
         return replace(self, epsilon=epsilon)
 
@@ -129,6 +144,14 @@ class SinusoidalInEpsK(CoefficientModel):
     def __call__(self, k: int) -> complex:
         arg = self.frequency * self.epsilon * k + self.phase
         return complex(self.offset) + complex(self.amplitude) * math.sin(arg)
+
+    def sample(self, lo: int, hi: int) -> np.ndarray:
+        """``self(k)`` for ``k = lo .. hi``, bit for bit: the arguments on
+        arrays, then ``math.sin`` (``np.sin`` may round differently)."""
+        with np.errstate(all="ignore"):  # an infinite argument fails in math.sin
+            args = (self.frequency * self.epsilon) * _float_indices(lo, hi) + self.phase
+        s = np.array(list(map(math.sin, args.tolist())))
+        return complex(self.offset) + complex(self.amplitude) * s
 
     def with_epsilon(self, epsilon: float) -> "SinusoidalInEpsK":
         return replace(self, epsilon=epsilon)

@@ -355,17 +355,12 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
     return np.column_stack((values.real, values.imag)).tolist()
 
 
-def resolved_dict(scenario: Scenario) -> dict:
-    """Scenario with every model exported as tabulated values over the window.
-
-    The values are the columns of ``spec.table``.  Re-ingesting the result
-    reproduces the run exactly: the [re, im] pairs round-trip through JSON
-    at full double precision.  A sweep list is not carried over, because
-    tabulated models no longer depend on the slow-variation parameter.
-    """
+def _resolved_payload(scenario: Scenario) -> dict:
+    """:func:`resolved_dict` with the columns and ``initial`` left as complex
+    arrays, which the CLI's JSON writer takes as they are."""
     spec = scenario.spec
     columns = [
-        {"variant": "tabulated", "values": _pairs(column), "k_first": spec.k_start}
+        {"variant": "tabulated", "values": column, "k_first": spec.k_start}
         for column in spec.table.T
     ]
     return {
@@ -374,7 +369,22 @@ def resolved_dict(scenario: Scenario) -> dict:
         "horizon": spec.horizon,
         "coefficients": columns[:-1],
         "forcing": columns[-1],
-        "initial": _pairs(scenario.initial),
+        "initial": scenario.initial,
         "methods": list(scenario.methods),
         "output": {"path": scenario.output_path, "format": scenario.output_format},
     }
+
+
+def resolved_dict(scenario: Scenario) -> dict:
+    """Scenario with every model exported as tabulated values over the window.
+
+    The values are the columns of ``spec.table`` as [re, im] pairs: plain
+    JSON data, the list view of the ``_resolved.json`` file ``run`` writes.
+    Re-ingesting it reproduces the run exactly, since the pairs round-trip
+    through JSON at full double precision.  A sweep list is not carried
+    over: tabulated models no longer depend on the slow-variation parameter.
+    """
+    data = _resolved_payload(scenario)
+    for model in (*data["coefficients"], data["forcing"]):
+        model["values"] = _pairs(model["values"])
+    return {**data, "initial": _pairs(data["initial"])}

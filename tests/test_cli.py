@@ -12,6 +12,7 @@ import pytest
 import wkbrec
 from wkbrec import cli
 from wkbrec.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
+from wkbrec.wkb import METHOD_NAMES
 
 
 def write_scenario(path, data):
@@ -498,6 +499,40 @@ def test_resolved_file_is_pinned(tmp_path):
     data = (tmp_path / "out" / "mixed_resolved.json").read_bytes()
     digest = "b707729389f805d7b473bc8eedbb482558328568c2a491a3d21a66a4b90ebe9d"
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_resolved_dict_is_the_list_view_of_the_written_file(tmp_path):
+    data = all_variants_scenario()
+    data["initial"][1] = [-0.0, 0.5]
+    path = write_scenario(tmp_path / "mixed.json", data)
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    text = (tmp_path / "out" / "mixed_resolved.json").read_text()
+    scenario = wkbrec.load_scenario(path)
+    resolved = wkbrec.resolved_dict(scenario)
+    assert resolved == json.loads(text)
+    # the same text, so the same key order and every zero's sign
+    assert json.dumps(resolved, indent=2) + "\n" == text
+    assert resolved["initial"][1] == [-0.0, 0.5] and str(resolved["initial"][1][0]) == "-0.0"
+    again = wkbrec.scenario_from_dict(resolved).spec.table
+    assert again.tobytes() == scenario.spec.table.tobytes()  # bit for bit
+    assert np.signbit(again.imag).any()
+
+
+def test_json_tables_are_pinned(tmp_path):
+    # the JSON tables of the README scenario with every method, in --format
+    # json: the digests guard their bytes across changes to the writer
+    data = readme_scenario(tmp_path / "out", 0.01)
+    data["methods"] = list(METHOD_NAMES)
+    scenario = write_scenario(tmp_path / "readme.json", data)
+    assert main(["run", scenario, "--format", "json"]) == EXIT_OK
+    digests = {
+        "trajectory": "34567b044afb6b4a545938c72e8c3866dd3ecb5d832a560c0f9c3a5567488386",
+        "errors": "027197bb5ceb638376cde760fb547a97d8d1ab4d47e4af660c752192e2613d04",
+        "sweep": "5ed1cc50eb5b1e427b112c8564398af550a8bfe1aebf818147bb29fc4b53459f",
+    }
+    for name, digest in digests.items():
+        data = (tmp_path / "out" / f"readme_{name}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def readme_window(outdir, k_start, horizon):

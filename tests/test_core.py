@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -189,6 +189,93 @@ class TestCoefficientTable:
         assert info.value.k == lo + min(z % width for z in zeros)
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+real_parts = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([-0.0, 0.0, 5e-324, -1.0, 1.0]),
+    st.integers(-(2**53), 2**53).map(lambda m: m * 2.0**-44),  # full mantissas
+)
+complex_parts = st.builds(complex, real_parts, real_parts)
+
+
+@st.composite
+def windows(draw):
+    """An index window of up to 40 indices, often at an int64 edge."""
+    width = draw(st.integers(0, 39))
+    lo = draw(
+        st.one_of(
+            st.integers(-(10**6), 10**6),
+            st.integers(INT64_MIN, INT64_MAX - width),
+            st.sampled_from([INT64_MIN, INT64_MAX - width, -width // 2]),
+        )
+    )
+    return lo, lo + width
+
+
+parametric_models = st.one_of(
+    st.builds(
+        SinusoidalInEpsK,
+        amplitude=complex_parts,
+        offset=complex_parts,
+        frequency=real_parts,
+        phase=real_parts,
+        epsilon=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    ),
+    st.builds(
+        PolynomialInEpsK,
+        coeffs=st.lists(complex_parts, max_size=5).map(tuple),
+        epsilon=st.one_of(st.just(0.0), st.floats(0.0, 1e-3)),
+    ),
+)
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+class TestVectorisedSample:
+    # the table and every written file read these samples, so they must
+    # equal the models' own per-index values bit for bit, signed zeros too
+    @settings(max_examples=300, deadline=None)
+    @given(model=parametric_models, window=windows())
+    @example(SinusoidalInEpsK(0.2 + 0.1j, -1, frequency=1.3, phase=0.4, epsilon=0.05), (-20, 20))
+    @example(PolynomialInEpsK((1, 0.3 - 0.1j, -0.05), epsilon=0.07), (INT64_MAX - 30, INT64_MAX))
+    def test_sample_is_the_model_index_by_index(self, model, window):
+        lo, hi = window
+        want = [model(k) for k in range(lo, hi + 1)]
+        got = model.sample(lo, hi)
+        assert got.dtype == complex and got.shape == (hi - lo + 1,)
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_overflow_gives_the_per_index_values_without_warnings(self):
+        # eps * k is infinite from k = 2 on: NaN values, as model(k) gives
+        model = PolynomialInEpsK(coeffs=(11, 1e-300 + 1e-300j), epsilon=1e308)
+        got, want = model.sample(-3, 3), np.array([model(k) for k in range(-3, 4)])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[[0, 1, 5, 6]]).all() and np.isfinite(got[2:5]).all()
+
+    def test_infinite_sine_argument_raises_as_the_model_does(self):
+        model = SinusoidalInEpsK(amplitude=1, offset=0, frequency=1e300, epsilon=1e10)
+        with pytest.raises(ValueError, match="math domain error"):
+            model(5)
+        with pytest.raises(ValueError, match="math domain error"):
+            model.sample(0, 5)
+
+
+def counted_evaluations(monkeypatch):
+    """Count evaluations per (model, k) of the parametric models, one index
+    at a time (``model(k)``) or a window at a time (``model.sample``)."""
+    calls = counted_calls(monkeypatch)
+    for cls in (PolynomialInEpsK, SinusoidalInEpsK):
+
+        def wrapped(self, lo, hi, original=cls.sample):
+            calls.update((id(self), k) for k in range(lo, hi + 1))
+            return original(self, lo, hi)
+
+        monkeypatch.setattr(cls, "sample", wrapped)
+    return calls
+
+
 def counted_calls(monkeypatch):
     """Count ``model(k)`` calls per (model, k) for every model variant."""
     calls = Counter()
@@ -204,7 +291,7 @@ def counted_calls(monkeypatch):
 
 class TestSampledOnce:
     def test_each_model_is_evaluated_once_per_index(self, monkeypatch):
-        calls = counted_calls(monkeypatch)
+        calls = counted_evaluations(monkeypatch)
         spec = sin_family(epsilon=0.01, horizon=50)
         compare_methods(spec, [1.0, 0.5, 0.25], METHOD_NAMES)
         lo, hi = spec.window

@@ -90,6 +90,107 @@ class TestJsonText:
         assert _json_text(payload) == reference_text(payload)
 
 
+INT64_EDGES = [2**63 - 1, -(2**63 - 1), -(2**63), 0, -1]
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)
+)
+
+
+def listed(payload):
+    """``payload`` with each array replaced by the list it stands for."""
+    if isinstance(payload, np.ndarray):
+        if payload.dtype.kind == "c":
+            return [[z.real, z.imag] for z in payload.tolist()]
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: listed(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [listed(item) for item in payload]
+    return payload
+
+
+@st.composite
+def complex_arrays(draw, parts=finite_floats):
+    """A complex array, often a strided column of a 2-D table."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(1, 3))
+    n = rows * cols
+    re = draw(st.lists(parts, min_size=n, max_size=n))
+    im = draw(st.lists(parts, min_size=n, max_size=n))
+    table = np.empty((rows, cols), dtype=complex)
+    table.real, table.imag = np.reshape(re, (rows, cols)), np.reshape(im, (rows, cols))
+    return table[:, draw(st.integers(0, cols - 1))]
+
+
+float_arrays = st.lists(finite_floats, max_size=12).map(lambda v: np.array(v, dtype=float))
+int_arrays = st.lists(
+    st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES)), max_size=12
+).map(lambda v: np.array(v, dtype=np.int64))
+
+
+def array_payloads(arrays):
+    leaves = st.one_of(arrays, arrays, st.integers(), st.text(max_size=3), st.none())
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+class TestArrayBranch:
+    @settings(max_examples=200, deadline=None)
+    @given(array_payloads(float_arrays))
+    @example({"x": np.array(EDGE_FLOATS), "y": [np.array([-0.0]), {"z": np.array([1e16])}]})
+    def test_float_arrays_are_written_as_their_lists(self, payload):
+        assert _json_text(payload) == reference_text(listed(payload))
+
+    @settings(max_examples=200, deadline=None)
+    @given(array_payloads(int_arrays))
+    @example({"k": np.array(INT64_EDGES, dtype=np.int64)})
+    def test_int_arrays_are_written_as_their_lists(self, payload):
+        assert _json_text(payload) == reference_text(listed(payload))
+
+    @settings(max_examples=200, deadline=None)
+    @given(array_payloads(complex_arrays()))
+    def test_complex_arrays_are_written_as_re_im_pairs(self, payload):
+        assert _json_text(payload) == reference_text(listed(payload))
+
+    def test_strided_column_keeps_negative_zero(self):
+        table = np.array([[1 - 0j, complex(-0.0, -0.0)], [5e-324j, 1.7e308 + 2j]])
+        column = table[:, 1]
+        assert not column.flags.c_contiguous
+        text = _json_text({"values": column})
+        assert text == reference_text({"values": [[-0.0, -0.0], [1.7e308, 2.0]]})
+
+    @pytest.mark.parametrize("dtype", [float, complex, np.int64])
+    def test_empty_array_is_an_empty_list(self, dtype):
+        payload = {"a": np.array([], dtype=dtype), "b": [np.array([], dtype=dtype)]}
+        assert _json_text(payload) == reference_text({"a": [], "b": [[]]})
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.floats(), min_size=1, max_size=8).map(np.array),
+            complex_arrays(st.floats()),
+        ),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 20),
+        st.booleans(),
+    )
+    def test_non_finite_anywhere_raises(self, array, bad, where, in_imag):
+        array = array.copy()
+        if not array.size:
+            array = np.zeros(1, dtype=array.dtype)
+        if array.dtype.kind == "c" and in_imag:
+            array.imag[where % array.size] = bad
+        else:
+            array.real[where % array.size] = bad
+        for payload in (array, {"a": [1, {"b": array}]}):
+            with pytest.raises(ValueError):
+                _json_text(payload)
+            with pytest.raises(ValueError):
+                reference_text(listed(payload))
+
+
 class TestTableFormatters:
     def table(self):
         k = np.arange(3)
