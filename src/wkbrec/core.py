@@ -35,6 +35,18 @@ def _float_indices(lo: int, hi: int) -> np.ndarray:
     return (lo + np.arange(hi - lo + 1)).astype(float)
 
 
+def _times_real(z, x: np.ndarray) -> np.ndarray:
+    """``z * x`` for a complex ``z`` (a number or an array) and a float array
+    ``x``, with the bits of ``complex * float`` in CPython 3.11: the textbook
+    product with ``complex(x, 0.0)``.  numpy's complex multiply can differ
+    from it in the sign of a zero part."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(x.shape, dtype=complex)
+    out.real = z.real * x - z.imag * 0.0
+    out.imag = z.real * 0.0 + z.imag * x
+    return out
+
+
 class CoefficientModel:
     """A complex-valued sequence over integer indices, ``model(k) -> complex``.
 
@@ -115,12 +127,12 @@ class PolynomialInEpsK(CoefficientModel):
 
     def sample(self, lo: int, hi: int) -> np.ndarray:
         """``self(k)`` for ``k = lo .. hi``, bit for bit: the same Horner
-        steps, on arrays (a complex times a real rounds once per part)."""
+        steps, on arrays."""
         acc = np.zeros(hi - lo + 1, dtype=complex)
         with np.errstate(all="ignore"):  # overflow is inf or nan, as in __call__
             x = self.epsilon * _float_indices(lo, hi)
             for c in reversed(self.coeffs):
-                acc = acc * x + c
+                acc = _times_real(acc, x) + c
         return acc
 
     def with_epsilon(self, epsilon: float) -> "PolynomialInEpsK":
@@ -147,11 +159,19 @@ class SinusoidalInEpsK(CoefficientModel):
 
     def sample(self, lo: int, hi: int) -> np.ndarray:
         """``self(k)`` for ``k = lo .. hi``, bit for bit: the arguments on
-        arrays, then ``math.sin`` (``np.sin`` may round differently)."""
-        with np.errstate(all="ignore"):  # an infinite argument fails in math.sin
+        arrays, then ``math.sin`` (``np.sin`` may round differently).  An
+        infinite argument, where ``math.sin`` fails, raises a ``ValueError``
+        naming its first k (a NaN argument gives NaN, as in ``__call__``)."""
+        with np.errstate(all="ignore"):
             args = (self.frequency * self.epsilon) * _float_indices(lo, hi) + self.phase
+        infinite = np.isinf(args)
+        if infinite.any():
+            k = lo + int(np.argmax(infinite))
+            raise ValueError(
+                f"sinusoidal model: sine argument is infinite at index k={k} (math domain error)"
+            )
         s = np.array(list(map(math.sin, args.tolist())))
-        return complex(self.offset) + complex(self.amplitude) * s
+        return complex(self.offset) + _times_real(self.amplitude, s)
 
     def with_epsilon(self, epsilon: float) -> "SinusoidalInEpsK":
         return replace(self, epsilon=epsilon)

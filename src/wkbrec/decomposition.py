@@ -70,8 +70,8 @@ class GaugeSet:
         """``|det|`` of the stacked matrix relative to its Hadamard bound."""
         return float(_admissibility(self.stacked()))
 
-    def is_admissible(self, threshold: float = ADMISSIBILITY_THRESHOLD) -> bool:
-        return self.admissibility() > threshold
+    def is_admissible(self) -> bool:
+        return self.admissibility() > ADMISSIBILITY_THRESHOLD
 
 
 @dataclass(frozen=True, eq=False)

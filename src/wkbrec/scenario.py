@@ -313,6 +313,11 @@ def _build(data) -> tuple[Scenario | None, list[str]]:
     except (RecurrenceError, ValueError) as exc:
         return None, [str(exc)]
 
+    for e in sweep or ():  # each sweep problem must build, as run builds it
+        try:
+            spec.with_epsilon(e)
+        except (RecurrenceError, ValueError) as exc:
+            errors.append(f"epsilon_sweep value {e!r}: {exc}")
     errors.extend(check_methods(spec, methods))
     if errors:
         return None, errors

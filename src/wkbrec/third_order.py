@@ -6,7 +6,7 @@ truncation for slowly varying coefficients (:func:`wkb3_step`), the x-term
 diagnostics that vanish exactly on the power gauge, and the ratio route: a
 second-order nonlinear recursion in ``p[k]`` (the discrete analogue of a
 Riccati equation) whose solutions decouple the system so that each component
-evolves by plain multiplication.
+evolves by plain multiplication; the branch gauge and products hold at any N.
 
 Notation below: ``r = roots at k``, ``R = roots at k+1``,
 ``D = (R[1]-R[0]) (R[2]-R[0]) (R[2]-R[1])`` the Vandermonde determinant at
@@ -143,11 +143,10 @@ def riccati_forward(
     p1: complex,
     spec: RecurrenceSpec,
     count: int,
-    k_from: int | None = None,
 ) -> np.ndarray:
     """Iterate the ratio recursion forward from two seed values.
 
-    Returns ``p[k]`` for ``k = k_from .. k_from + count + 1`` (the seeds plus
+    Returns ``p[k]`` for ``k = k_start .. k_start + count + 1`` (the seeds plus
     ``count`` generated values), each new value solving the recursion at the
     oldest index of its triple:
 
@@ -161,12 +160,10 @@ def riccati_forward(
     """
     if spec.order != 3:
         raise ValueError("the ratio recursion is third-order specific")
-    if k_from is None:
-        k_from = spec.k_start
     p = np.empty(count + 2, dtype=complex)
     p[0], p[1] = complex(p0), complex(p1)
     for s in range(count):
-        k = k_from + s
+        k = spec.k_start + s
         f = spec.coeff_array(k)
         denom = p[s + 1] * p[s]
         scale = 1.0 + float(np.max(np.abs(f)))
@@ -222,12 +219,11 @@ def oracle_ratio_branch(traj: ScalarTrajectory, label: int = 0) -> RiccatiBranch
 
 
 def riccati_gauge(branches, k: int) -> GaugeSet:
-    """Gauge rows at index k built from three decoupling branches."""
-    if len(branches) != 3:
-        raise ValueError("need exactly three branches")
-    g1 = np.array([b.g1_at(k) for b in branches])
-    g2 = np.array([b.g1_at(k) * b.g1_at(k + 1) for b in branches])
-    return GaugeSet(k=k, g=np.vstack([g1, g2]))
+    """Gauge rows at k from N branches: row m of branch n is ``y_n[k+m]/y_n[k]``,
+    the running product of the ratios ``p_n[k] .. p_n[k+m-1]``, taken on Python
+    complexes (object dtype), which numpy's complex multiply may round otherwise."""
+    ratios = [[b.g1_at(k + j) for j in range(len(branches) - 1)] for b in branches]
+    return GaugeSet(k=k, g=np.cumprod(np.array(ratios, dtype=object), axis=1).T)
 
 
 def decoupled_step(

@@ -190,12 +190,12 @@ def _companion_method_chain(spec, initial, roots) -> _Chained:
 
 
 def _riccati_chain(spec, initial, roots) -> _Chained:
-    # Scalar solutions seeded from each root at the window start; their ratio
-    # sequences decouple the system, so each component is multiplied by its
-    # branch ratio per step (the running products of product_solution).
+    # Scalar solutions seeded with the root powers rho_n**j at the window start
+    # (the Vandermonde columns); their ratio sequences decouple the system, so each
+    # component is multiplied by its branch ratio per step (as in product_solution).
     branches = [
-        oracle_ratio_branch(direct_solve(spec, [1.0, rho, rho**2]), label=n)
-        for n, rho in enumerate(roots[0])
+        oracle_ratio_branch(direct_solve(spec, seed), label=n)
+        for n, seed in enumerate(_vandermonde(roots[0]).T)
     ]
     gauge0 = riccati_gauge(branches, spec.k_start)
     Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge0)
@@ -235,7 +235,7 @@ _METHODS = {
         partial(_power_gauge_chain, kernel=_explicit3_matrix), "all", order3_only=True
     ),
     "wkb3": _Method(partial(_power_gauge_chain, kernel=_wkb3_gain), "all", order3_only=True),
-    "riccati": _Method(_riccati_chain, "first", order3_only=True, homogeneous_only=True),
+    "riccati": _Method(_riccati_chain, "first", homogeneous_only=True),
     "wkb-general": _Method(partial(_power_gauge_chain, kernel=_wkb_gain), "all"),
 }
 METHOD_NAMES = tuple(_METHODS)
@@ -284,10 +284,12 @@ def compare_methods(
     pass, so a root-pass failure names a method that reads the failing row.
     Every method but ``direct`` then steps on one chain, all methods in one
     loop.  Failures are re-raised with the method name and step index
-    attached; a non-finite value in a method's output, or in the oracle,
-    raises :class:`Breakdown` at the first index holding one.  The first
-    failing method in the requested order is the one reported: a setup
-    error is raised only after the methods before it stepped finitely.
+    attached; a non-finite value in a method's output, in the oracle or in
+    a method's relative error (a finite error past double range against a
+    tiny oracle value) raises :class:`Breakdown` at the first index holding
+    one.  The first failing method in the requested order is the one
+    reported: a setup error is raised only after the methods before it
+    stepped finitely.
     """
     ordered = list(dict.fromkeys(methods))
     issues = check_methods(spec, ordered)
@@ -327,7 +329,9 @@ def compare_methods(
                 ) from exc
             raise exc
         _check_finite(oracle, ks, "oracle (scalar recursion)")
-    rel_errors = {name: _relative_errors(v, oracle) for name, v in values.items()}
+        rel_errors = {name: _relative_errors(v, oracle) for name, v in values.items()}
+        for name, errs in rel_errors.items():
+            _check_finite(errs, ks, f"method '{name}' relative error")
     return ComparisonTable(k=ks, oracle=oracle, values=values, rel_errors=rel_errors)
 
 

@@ -23,6 +23,7 @@ from wkbrec import (
     Breakdown,
     Constant,
     DegenerateRoots,
+    GaugeSet,
     RecurrenceError,
     RecurrenceSpec,
     RootFrame,
@@ -33,7 +34,9 @@ from wkbrec import (
     companion_propagate,
     compare_methods,
     decompose_initial,
+    direct_solve,
     explicit_step,
+    oracle_ratio_branch,
     power_gauge,
     propagate,
     reconstruct,
@@ -241,6 +244,26 @@ def test_each_method_reads_the_values_of_its_chain_alone(n, seed, eps, forced):
     for name in names[1:]:  # every method but direct
         alone = wkb._METHODS[name].driver(spec, initial, roots)
         assert np.array_equal(alone, table.values[name]), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, eps=epsilons)
+def test_riccati_at_order_3_keeps_the_bits_of_the_written_out_gauge(seed, eps):
+    # the order-3 seeds [1, rho, rho**2] and gauge rows g1 = p[k] and
+    # g2 = p[k] p[k+1] as Python products; the roots are complex, where
+    # numpy's complex multiply would round some products otherwise
+    rng = np.random.default_rng(seed)
+    spec = drifting_spec(rng, 3, eps, forced=False)
+    initial = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    rho = root_frames(spec, 0, 0)[0].roots
+    branches = [oracle_ratio_branch(direct_solve(spec, [1.0, r, r**2])) for r in rho]
+    g1 = [b.g1_at(0) for b in branches]
+    g2 = [b.g1_at(0) * b.g1_at(1) for b in branches]
+    Y0 = decompose_initial(initial, GaugeSet(k=0, g=[g1, g2]))
+    gains = np.stack([b.p1[: spec.horizon] for b in branches], axis=1)
+    want = _chain(Y0.y[None], [gains], [np.zeros_like(gains)])[0].sum(axis=1)
+    got = compare_methods(spec, initial, ["riccati"]).values["riccati"]
+    assert np.array_equal(got, want)
 
 
 def bjorck_pereyra(x, b):

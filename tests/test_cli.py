@@ -308,6 +308,29 @@ class TestNonFiniteInput:
         assert "non-finite characteristic coefficient at index k=2" in err
         assert "Traceback" not in err
 
+    def test_sweep_value_whose_problem_cannot_be_built_is_a_schema_error(
+        self, tmp_path, capsys
+    ):
+        # at epsilon 0 the sine argument is the phase; at 0.01 it is
+        # 1e298 * 2**62, infinite, so the sweep problem cannot be sampled
+        outdir = tmp_path / "out"
+        data = readme_window(outdir, 2**62, 5)
+        data["coefficients"][0] = {
+            "variant": "sinusoidal", "amplitude": "0.2", "offset": "-6",
+            "frequency": 1e300, "epsilon": 0,
+        }
+        data["epsilon_sweep"] = [0, 0.01]
+        scenario = write_scenario(tmp_path / "sw.json", data)
+        line = (
+            "epsilon_sweep value 0.01: sinusoidal model: sine argument is infinite "
+            f"at index k={2**62} (math domain error)\n"
+        )
+        assert main(["validate", scenario]) == EXIT_SCHEMA
+        assert capsys.readouterr() == (line, "")
+        assert main(["run", scenario]) == EXIT_SCHEMA
+        assert capsys.readouterr() == ("", line)
+        assert not outdir.exists()
+
 
 class TestSweep:
     def test_monotone_sweep_summary(self, tmp_path):
@@ -478,6 +501,31 @@ class TestNonFiniteOutput:
         err = capsys.readouterr().err
         assert "coefficient table: non-finite value at index k=2" in err
         assert [p.name for p in tmp_path.iterdir()] == ["overflow.json"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_relative_error_past_double_range_is_a_breakdown(self, tmp_path, capsys, fmt):
+        # the oracle is exactly 0 at k=1 while gauge-exact, whose components
+        # are O(1e300), misses it by far more than 1e-300 * 1.8e308
+        outdir = tmp_path / "out"
+        data = {
+            "order": 3,
+            "horizon": 5,
+            "coefficients": [{"variant": "constant", "value": v} for v in ("-6", "11", "-6")],
+            "forcing": {"variant": "constant", "value": 1e300},
+            "initial": ["1", "0", "1"],
+            "methods": ["direct", "gauge-exact"],
+            "output": {"path": str(outdir), "format": fmt},
+        }
+        scenario = write_scenario(tmp_path / "forced.json", data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", scenario]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == (
+            "",
+            "numerical breakdown: method 'gauge-exact' relative error: "
+            "non-finite value at index k=1\n",
+        )
+        assert not outdir.exists()
 
     def test_json_tables_refuse_non_finite_numbers(self):
         from wkbrec.cli import _error_tables

@@ -247,6 +247,19 @@ class TestVectorisedSample:
         assert got.dtype == complex and got.shape == (hi - lo + 1,)
         assert np.array_equal(bits(got), bits(want))
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            SinusoidalInEpsK(complex(5e-324, -0.0), complex(-0.0, 0.0), frequency=0.0, phase=-0.5),
+            PolynomialInEpsK((complex(-0.0, 0.0), complex(5e-324, -1.5)), epsilon=0.479),
+        ],
+    )
+    def test_a_product_that_underflows_keeps_the_sign_of_its_zero(self, model):
+        # CPython multiplies a complex by a float as by complex(x, 0.0); numpy's
+        # complex multiply gives -0.0 where that product has 0.0
+        want = [model(k) for k in range(-3, 4)]
+        assert np.array_equal(bits(model.sample(-3, 3)), bits(want))
+
     def test_overflow_gives_the_per_index_values_without_warnings(self):
         # eps * k is infinite from k = 2 on: NaN values, as model(k) gives
         model = PolynomialInEpsK(coeffs=(11, 1e-300 + 1e-300j), epsilon=1e308)
@@ -260,6 +273,15 @@ class TestVectorisedSample:
             model(5)
         with pytest.raises(ValueError, match="math domain error"):
             model.sample(0, 5)
+
+    def test_infinite_sine_argument_names_its_first_index(self):
+        # frequency * epsilon is 1e307: the argument is finite for |k| <= 17
+        model = SinusoidalInEpsK(amplitude=1, offset=0, frequency=1e307, epsilon=1.0)
+        assert np.isfinite(model.sample(-17, 17)).all()
+        with pytest.raises(ValueError, match="sine argument is infinite at index k=18 "):
+            model.sample(-17, 40)
+        with pytest.raises(ValueError, match="at index k=-20 "):
+            model.sample(-20, 20)
 
 
 def counted_evaluations(monkeypatch):

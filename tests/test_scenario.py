@@ -91,6 +91,20 @@ class TestValidate:
         diagnostics = validate_scenario_dict(data)
         assert any("zero forcing" in d for d in diagnostics)
 
+    @pytest.mark.parametrize("roots", [[1, 2], [1, 2, 3, 4, 5, 6, 7, 8]])
+    def test_riccati_at_any_order(self, roots):
+        # f[j] is the coefficient of x**j in prod (x - r), f[0] first
+        data = base_scenario()
+        data.update(
+            order=len(roots),
+            coefficients=[
+                {"variant": "constant", "value": float(c)} for c in np.poly(roots)[::-1][:-1]
+            ],
+            initial=["1"] * len(roots),
+            methods=["direct", "riccati"],
+        )
+        assert validate_scenario_dict(data) == []
+
     def test_order_out_of_range(self):
         data = base_scenario()
         data["order"] = 9

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wkbrec import wkb
@@ -10,6 +12,7 @@ from wkbrec import (
     ComponentVector,
     NoConvergence,
     RecurrenceSpec,
+    RiccatiBranch,
     RootFrame,
     SinusoidalInEpsK,
     Tabulated,
@@ -50,7 +53,7 @@ def wkb3_multipliers(frame_now, frame_next):
     return out
 
 
-def sin_family_order(n, epsilon, horizon, rng):
+def sin_family_order(n, epsilon, horizon, rng, k_start=0):
     """Order-n slowly varying family whose roots stay pairwise separated.
 
     The base roots are spread over the complex plane (separation ~1), so the
@@ -68,7 +71,7 @@ def sin_family_order(n, epsilon, horizon, rng):
         coeffs=tuple(
             SinusoidalInEpsK(a, o, epsilon=epsilon) for a, o in zip(amps, offsets)
         ),
-        k_start=0,
+        k_start=k_start,
         horizon=horizon,
     )
 
@@ -275,18 +278,37 @@ class TestCompareMethods:
         table = compare_methods(spec, init, ["gauge-exact"])
         assert table.terminal_error("gauge-exact") < 1e-9 * 300
 
-    def test_riccati_running_products_match_product_solution(self):
-        spec = sin_family(epsilon=0.01, horizon=200, k_start=3)
-        init = np.array([1 + 0.2j, 1.4 - 0.1j, 2.2 + 0.3j])
-        rho = root_frames(spec, 3, 3)[0].roots
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        epsilon=st.floats(0, 0.02),
+        k_start=st.integers(-50, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_riccati_running_products_match_product_solution(self, n, epsilon, k_start, seed):
+        # at every order: branches seeded with the root powers rho_n**j, the
+        # gauge of their running ratio products, and the solution as branch
+        # products; the chain must give those products and track the oracle.
+        # The two multiply in different orders, and the branch sum can cancel
+        # (by up to ~700x at order 8), so the products are compared on the
+        # scale of the components, sum_n |y_n[k]|.
+        rng = np.random.default_rng(seed)
+        spec = sin_family_order(n, epsilon, horizon=200, rng=rng, k_start=k_start)
+        init = complex_array(rng, n)
+        rho = root_frames(spec, k_start, k_start)[0].roots
         branches = [
-            oracle_ratio_branch(direct_solve(spec, [1.0, r, r**2]), label=n)
-            for n, r in enumerate(rho)
+            oracle_ratio_branch(direct_solve(spec, [r**j for j in range(n)]), label=i)
+            for i, r in enumerate(rho)
         ]
-        Y0 = decompose_initial(init, riccati_gauge(branches, 3))
-        want = np.array([product_solution(Y0, branches, k) for k in range(3, 204)])
-        got = compare_methods(spec, init, ["riccati"]).values["riccati"]
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+        Y0 = decompose_initial(init, riccati_gauge(branches, k_start))
+        sizes = ComponentVector(k=k_start, y=np.abs(Y0.y))
+        size_branches = [RiccatiBranch(np.abs(b.p1), b.k_start) for b in branches]
+        ks = range(k_start, k_start + 201)
+        want = np.array([product_solution(Y0, branches, k) for k in ks])
+        size = np.array([product_solution(sizes, size_branches, k).real for k in ks])
+        table = compare_methods(spec, init, ["riccati"])
+        assert float(np.max(table.rel_errors["riccati"])) < 1e-7
+        assert np.all(np.abs(table.values["riccati"] - want) <= 1e-13 * size)
 
 
 class TestSharedFrames:
