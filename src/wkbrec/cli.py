@@ -39,8 +39,14 @@ import numpy as np
 
 from .errors import RecurrenceError
 from .roots import DEFAULT_ROOT_TOL
-from .scenario import ScenarioError, _resolved_payload, load_scenario, scenario_from_dict
-from .wkb import ComparisonTable, SweepResult, _check_finite, _sweep, compare_methods
+from .scenario import (
+    ScenarioError,
+    _resolved_payload,
+    _sweep_problems,
+    load_scenario,
+    scenario_from_dict,
+)
+from .wkb import ComparisonTable, SweepResult, _check_finite, _compare_batch, _sweep_result
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -152,20 +158,21 @@ def _execute(args, sweep_only: bool) -> int:
     write one file at a time (only one output text is held at once)."""
     stem = Path(args.scenario).stem
     scenario = load_scenario(args.scenario)
-    epsilons = scenario.epsilon_sweep
-    if sweep_only:
-        epsilons = args.epsilons if args.epsilons else epsilons
-        if not epsilons:
-            missing = "no sweep values: scenario has no 'epsilon_sweep' and no --epsilons given"
-            raise ScenarioError([missing])
     spec, initial, methods = scenario.spec, scenario.initial, scenario.methods
-    table = None
-    if not sweep_only:
-        table = compare_methods(spec, initial, methods, root_tol=args.tolerance)
-    sweep = None
-    if epsilons:  # a sweep value on the run's own problem reuses its table
-        known = {} if table is None else {spec.table.tobytes(): table}
-        sweep = _sweep(spec, initial, methods, epsilons, args.tolerance, known)
+    epsilons, problems = scenario.epsilon_sweep, scenario.sweep_problems
+    if sweep_only and args.epsilons:
+        epsilons = args.epsilons
+        problems, errors = _sweep_problems(spec, epsilons, "--epsilons")
+        if errors:
+            raise ScenarioError(errors)
+    if sweep_only and not epsilons:
+        missing = "no sweep values: scenario has no 'epsilon_sweep' and no --epsilons given"
+        raise ScenarioError([missing])
+    # one batch: the run's own problem first, then the sweep's
+    own = [] if sweep_only else [spec]
+    tables = _compare_batch([*own, *problems], initial, methods, args.tolerance)
+    table = tables[0] if own else None
+    sweep = _sweep_result(epsilons, tables[len(own) :], methods) if epsilons else None
     if table is not None:  # the resolved file tabulates N indices past the horizon
         ks = spec.k_start + np.arange(len(spec.table))
         _check_finite(spec.table, ks, "coefficient table")

@@ -10,8 +10,10 @@ models once, at construction, into a read-only coefficient table; everything
 downstream reads that table.  Two reference propagators live here:
 :func:`direct_solve`, the plain scalar recursion used as the oracle
 throughout the test suite, and :func:`companion_propagate`, the equivalent
-companion-matrix bookkeeping.  The latter runs on the one step chain
-``Y[k+1] = T[k] Y[k] + push[k]`` that every decomposed method shares.
+companion-matrix bookkeeping.  The former is one member of the one scalar
+recursion loop, which steps all the recursions of a batch of problems
+together; the latter runs on the one step chain ``Y[k+1] = T[k] Y[k] +
+push[k]`` that every decomposed method shares.
 
 All arithmetic is complex double precision even for real inputs; the
 characteristic roots of real problems are generically complex.
@@ -289,23 +291,50 @@ def eval_coeffs(spec: RecurrenceSpec, k: int) -> np.ndarray:
     return spec.table[k - spec.k_start]
 
 
+def _initial(initial, order: int) -> np.ndarray:
+    """The initial values ``y[k_start] .. y[k_start + N - 1]`` as a complex
+    vector, which must have length N."""
+    initial = np.asarray(initial, dtype=complex)
+    if initial.shape != (order,):
+        raise ValueError(f"initial data must have length {order}")
+    return initial
+
+
+def _recur(tables, initial: np.ndarray) -> np.ndarray:
+    """Values ``(M, H+N)`` of M scalar recursions, member m stepping on the
+    coefficient rows ``tables[m]`` ``(H, N+1)`` (``f[0] .. f[N-1]``, then the
+    forcing) from ``initial[m]`` ``(N,)``: the one scalar-recursion loop.
+
+    Each index takes one batched product ``(M, 1, N) @ (M, N, 1)``, which
+    numpy computes bit for bit as each member's ``f[s] @ y[s:s+N]``, so a
+    member's values do not depend on the members beside it.  A lone member
+    steps on that 1-D product, which is faster than a batch of one, and its
+    table is not copied."""
+    M, H, n = len(tables), len(tables[0]), tables[0].shape[1] - 1
+    y = np.empty((M, H + n), dtype=complex)
+    y[:, :n] = initial
+    if M == 1:
+        f, forcing, y1 = tables[0][:, :-1], tables[0][:, -1], y[0]
+        for s in range(H):
+            y1[s + n] = -(f[s] @ y1[s : s + n] + forcing[s])
+        return y
+    tables = np.stack(tables)
+    f, forcing, states = tables[:, :, None, :-1], tables[:, :, -1], y[:, :, None]
+    for s in range(H):
+        y[:, s + n] = -((f[:, s] @ states[:, s : s + n])[:, 0, 0] + forcing[:, s])
+    return y
+
+
 def direct_solve(spec: RecurrenceSpec, initial) -> ScalarTrajectory:
     """Run the scalar recursion; the oracle for every other propagator.
 
     ``initial`` supplies ``y[k_start] .. y[k_start + N - 1]``.  Each step
     evaluates ``y[k+N] = -(f[N-1](k) y[k+N-1] + ... + f[0](k) y[k] + f(k))``
     in double-precision complex arithmetic, and the returned trajectory has
-    ``horizon + N`` values.
+    ``horizon + N`` values: the one-member view of :func:`_recur`.
     """
-    initial = np.asarray(initial, dtype=complex)
-    n = spec.order
-    if initial.shape != (n,):
-        raise ValueError(f"initial data must have length {n}")
-    y = np.empty(spec.horizon + n, dtype=complex)
-    y[:n] = initial
-    f, forcing = spec.table[:, :-1], spec.table[:, -1]
-    for s in range(spec.horizon):
-        y[s + n] = -(f[s] @ y[s : s + n] + forcing[s])
+    initial = _initial(initial, spec.order)
+    y = _recur([spec.table[: spec.horizon]], initial[None])[0]
     return ScalarTrajectory(values=y, k_start=spec.k_start)
 
 
@@ -352,10 +381,8 @@ def _companion_chain(spec: RecurrenceSpec, initial) -> tuple[np.ndarray, ...]:
     """Chain inputs of the stacked window: the initial window reversed
     (newest value first), the companion matrices and
     ``push = (-f(k), 0, ..., 0)``."""
-    initial = np.asarray(initial, dtype=complex)
+    initial = _initial(initial, spec.order)
     n = spec.order
-    if initial.shape != (n,):
-        raise ValueError(f"initial data must have length {n}")
     rows = spec.table[: spec.horizon]
     push = np.zeros((spec.horizon, n), dtype=complex)
     push[:, 0] = -rows[:, -1]

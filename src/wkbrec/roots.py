@@ -4,9 +4,11 @@ At each index k the frozen-coefficient characteristic polynomial
 
     p(rho) = rho^N + f[N-1](k) rho^(N-1) + ... + f[1](k) rho + f[0](k)
 
-has N complex roots.  :func:`_root_table` finds them for a whole index window
-in one batched pass, as labelled ``(W, N)`` arrays (:func:`root_frames` is
-their list of frames): the eigenvalues of the stacked companion matrices,
+has N complex roots.  :func:`_root_tables` finds them for index windows of
+several problems in one batched pass, as labelled ``(W, N)`` arrays per
+window (:func:`_root_table` is the pass over one window and
+:func:`root_frames` its list of frames): the eigenvalues of the stacked
+companion matrices,
 polished by simultaneous Aberth-Ehrlich sweeps until every root meets the
 residual bound of :func:`characteristic_roots`.  Branch labels are then
 carried along the window by matching each unordered root set to the one
@@ -34,6 +36,7 @@ from .decomposition import ComponentVector, GaugeSet
 from .errors import (
     AmbiguousTracking,
     DegenerateRoots,
+    IndexOutOfWindow,
     NoConvergence,
     RecurrenceError,
     ZeroCoefficient,
@@ -373,17 +376,18 @@ def _polish(f: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, unsettled
 
 
-def _matches(roots: np.ndarray, k_lo: int) -> np.ndarray:
+def _matches(roots: np.ndarray, k_lo: int) -> tuple[np.ndarray, AmbiguousTracking | None]:
     """Row t: for each root of unordered set t (at index ``k_lo + t``), the
     index of the root of set t+1 that continues it (the assignment of
-    :func:`track_branches`).
+    :func:`track_branches`), for the rows before the first tie, and that
+    tie's :class:`AmbiguousTracking` (None if there is none).
 
     The nearest-root map is taken as is when it is a permutation and the two
     smallest row gaps (second-nearest minus nearest distance) sum to well
     above the tie threshold: any other permutation differs from it in at
     least two rows and pays at least their gaps, so it is then the unique
     minimiser and no tie is possible.  Every other row takes the exact
-    search, which raises :class:`AmbiguousTracking` on a tie.
+    search, which finds the ties.
     """
     prev, new = roots[:-1], roots[1:]
     n = roots.shape[1]
@@ -397,13 +401,91 @@ def _matches(roots: np.ndarray, k_lo: int) -> np.ndarray:
         bound > _CERTIFY_MARGIN * TIE_THRESHOLD * scale
     )
     for t in np.flatnonzero(~certified):
-        nearest[t] = _best_assignment(prev[t], new[t], k_lo + t + 1)
-    return nearest
+        try:
+            nearest[t] = _best_assignment(prev[t], new[t], k_lo + t + 1)
+        except AmbiguousTracking as tie:
+            return nearest[:t], tie
+    return nearest, None
+
+
+def _labelled(f, z, unsettled, k_lo: int, tol: float, stop: int, error):
+    """The rest of :func:`_root_tables` for one span: the labelled roots and
+    residuals of the rows of ``f`` (from index ``k_lo``) before the lowest
+    failing one, and that row's error with its index attached (None if no
+    row fails).  ``z`` and ``unsettled`` are the polish of the rows before
+    ``stop``, the first non-finite row (``error``) or the end of ``f``."""
+    for row in np.flatnonzero(unsettled):
+        try:
+            z[row] = characteristic_roots(f[row], tol=tol)
+        except RecurrenceError as exc:
+            stop, error = int(row), exc
+            break
+    residuals, bad_residual = _residual_failure(f[:stop], z[:stop], tol)
+    if bad_residual is not None:
+        stop, error = bad_residual
+    matches, tie = _matches(z[:stop], k_lo)
+    if tie is not None:
+        stop, error = len(matches) + 1, tie
+    z, residuals = z[:stop], residuals[:stop]
+    labels = np.empty(z.shape, dtype=int)
+    if stop:
+        labels[0] = np.lexsort((z[0].imag, z[0].real))
+    for t in range(1, stop):
+        labels[t] = matches[t - 1][labels[t - 1]]
+    roots = np.take_along_axis(z, labels, axis=1), np.take_along_axis(residuals, labels, axis=1)
+    return roots, None if error is None else error.with_context(k=k_lo + stop)
+
+
+def _root_tables(spans, tol: float) -> list:
+    """The batched pass of the module docstring for several spans ``(spec,
+    k_lo, k_hi)`` of one order: one ``eigvals`` call and one
+    :func:`_polish` over the rows of all of them.  Each row stops on its own
+    data, so a span's roots do not depend on the spans beside it.  The rest
+    is per span: the fallback, the residual check, the branch matches and
+    the labels.
+
+    Returns, per span, the labelled ``(roots, residuals)`` ``(W, N)`` of the
+    rows before its lowest failing index, and the error of that index (None
+    if no row fails), so that a failing span leaves the others whole.  The
+    failures are those of :func:`_root_table`; a root tolerance that is not
+    positive and finite is a ``ValueError`` of every nonempty span, which
+    then has no rows.
+    """
+    parts = []  # per span: its coefficient rows, the first non-finite one and its error
+    for spec, k_lo, k_hi in spans:
+        f, error = spec.table[:0, :-1], None
+        if k_hi >= k_lo:
+            try:
+                spec.check_window(k_lo)
+                spec.check_window(min(k_hi, spec.window[1] + 1))
+                f = spec.table[k_lo - spec.k_start : k_hi - spec.k_start + 1, :-1]
+            except IndexOutOfWindow as exc:
+                error = exc
+        bad = ~np.isfinite(f).all(axis=1)
+        stop = int(np.argmax(bad)) if bad.any() else len(f)
+        if stop < len(f):
+            error = RecurrenceError("non-finite characteristic coefficient")
+        parts.append((f, stop, error))
+    rows = np.concatenate([f[:stop] for f, stop, _ in parts])
+    z, unsettled = _polish(rows, np.linalg.eigvals(_companion(rows)))
+    tables, lo = [], 0
+    for (f, stop, error), (_, k_lo, _) in zip(parts, spans):
+        z_span, unsettled_span = z[lo : lo + stop], unsettled[lo : lo + stop]
+        lo += stop
+        no_rows = z_span[:0], np.empty((0, z.shape[1]))
+        if not len(f):  # an empty range, or one outside the window
+            tables.append((no_rows, error))
+            continue
+        try:
+            tables.append(_labelled(f, z_span, unsettled_span, k_lo, tol, stop, error))
+        except ValueError as exc:  # the tolerance
+            tables.append((no_rows, exc))
+    return tables
 
 
 def _root_table(spec: RecurrenceSpec, k_lo: int, k_hi: int, tol: float):
     """Labelled roots and residuals for ``k = k_lo .. k_hi`` as two ``(W, N)``
-    arrays: the batched pass of the module docstring, which
+    arrays: the batched pass of the module docstring over one span, which
     :func:`root_frames` lists frame by frame.
 
     The first index outside the window raises :class:`IndexOutOfWindow`;
@@ -414,34 +496,10 @@ def _root_table(spec: RecurrenceSpec, k_lo: int, k_hi: int, tol: float):
     non-finite coefficient row, a root residual above ``tol``
     (:class:`NoConvergence`) or a tracking tie (:class:`AmbiguousTracking`).
     """
-    if k_hi < k_lo:
-        return np.empty((0, spec.order), dtype=complex), np.empty((0, spec.order))
-    spec.check_window(k_lo)
-    spec.check_window(min(k_hi, spec.window[1] + 1))
-    f = spec.table[k_lo - spec.k_start : k_hi - spec.k_start + 1, :-1]
-    error, stop = None, len(f)
-    bad = ~np.isfinite(f).all(axis=1)
-    if bad.any():
-        error, stop = RecurrenceError("non-finite characteristic coefficient"), int(np.argmax(bad))
-    z, unsettled = _polish(f[:stop], np.linalg.eigvals(_companion(f[:stop])))
-    for row in np.flatnonzero(unsettled):
-        try:
-            z[row] = characteristic_roots(f[row], tol=tol)
-        except RecurrenceError as exc:
-            error, stop = exc, int(row)
-            break
-    residuals, bad_residual = _residual_failure(f[:stop], z[:stop], tol)
-    if bad_residual is not None:
-        stop, error = bad_residual
-    z, residuals = z[:stop], residuals[:stop]
-    matches = _matches(z, k_lo)
+    labelled, error = _root_tables([(spec, k_lo, k_hi)], tol)[0]
     if error is not None:
-        raise error.with_context(k=k_lo + stop) from error
-    labels = np.empty(z.shape, dtype=int)
-    labels[0] = np.lexsort((z[0].imag, z[0].real))
-    for t in range(1, len(z)):
-        labels[t] = matches[t - 1][labels[t - 1]]
-    return np.take_along_axis(z, labels, axis=1), np.take_along_axis(residuals, labels, axis=1)
+        raise error
+    return labelled
 
 
 def root_frames(

@@ -67,12 +67,16 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A validated scenario; ``sweep_problems`` holds the problem
+    ``spec.with_epsilon(e)`` of each ``epsilon_sweep`` value, built once."""
+
     spec: RecurrenceSpec
     initial: np.ndarray
     methods: tuple[str, ...]
     epsilon_sweep: tuple[float, ...] | None
     output_path: str
     output_format: str
+    sweep_problems: tuple[RecurrenceSpec, ...] = ()
 
 
 def _number(x) -> bool:
@@ -313,12 +317,9 @@ def _build(data) -> tuple[Scenario | None, list[str]]:
     except (RecurrenceError, ValueError) as exc:
         return None, [str(exc)]
 
-    for e in sweep or ():  # each sweep problem must build, as run builds it
-        try:
-            spec.with_epsilon(e)
-        except (RecurrenceError, ValueError) as exc:
-            errors.append(f"epsilon_sweep value {e!r}: {exc}")
-    errors.extend(check_methods(spec, methods))
+    # each sweep problem is built here, once, for validate and run alike
+    sweep_problems, sweep_errors = _sweep_problems(spec, sweep or (), "epsilon_sweep")
+    errors = sweep_errors + check_methods(spec, methods)
     if errors:
         return None, errors
     return (
@@ -329,9 +330,25 @@ def _build(data) -> tuple[Scenario | None, list[str]]:
             epsilon_sweep=sweep,
             output_path=out_path,
             output_format=out_format,
+            sweep_problems=sweep_problems,
         ),
         [],
     )
+
+
+def _sweep_problems(
+    spec: RecurrenceSpec, epsilons, where: str
+) -> tuple[tuple[RecurrenceSpec, ...], list[str]]:
+    """The problem ``spec.with_epsilon(e)`` of each sweep value, and one
+    diagnostic per value whose problem cannot be built, naming the value and
+    ``where`` it was given."""
+    problems, errors = [], []
+    for e in epsilons:
+        try:
+            problems.append(spec.with_epsilon(e))
+        except (RecurrenceError, ValueError) as exc:
+            errors.append(f"{where} value {e!r}: {exc}")
+    return tuple(problems), errors
 
 
 def validate_scenario_dict(data) -> list[str]:

@@ -17,20 +17,25 @@ tracked roots, the step matrices ``T`` (or their diagonals) and the forcing
 terms ``push``, for the chain ``Y[k+1] = T[k] Y[k] + push[k]``; the per-step
 functions are its references.  Each method's setup, which gives its chain
 inputs and the readout of its states, the root rows it reads and its
-restrictions are one row of the method table.  All of a problem's methods
-step in one chain loop, one batched product per index.
+restrictions are one row of the method table.
+
+Several problems of one order and horizon (a run and its sweep) are
+computed as one batch: one root pass over all their rows, one scalar
+recursion loop for their oracles and riccati's seed solutions, and one chain
+loop for all methods of all problems, one batched product per index.
+:func:`compare_methods` is the batch of one problem.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import RecurrenceSpec, _chain, _companion_chain, direct_solve
+from .core import RecurrenceSpec, ScalarTrajectory, _chain, _companion_chain, _initial, _recur
 from .decomposition import (
     ComponentVector,
     GaugeSet,
@@ -39,14 +44,14 @@ from .decomposition import (
     build_M,
     decompose_initial,
 )
-from .errors import Breakdown, RecurrenceError
+from .errors import Breakdown, DegenerateRoots, RecurrenceError
 from .roots import (
     DEFAULT_ROOT_TOL,
     RootFrame,
     _check_separation,
     _differences,
     _frames_checked,
-    _root_table,
+    _root_tables,
     _spread,
     _vandermonde,
     power_gauge,
@@ -165,42 +170,142 @@ class _Chained(NamedTuple):
     read: Callable[[np.ndarray], np.ndarray]
 
 
+@dataclass(eq=False)
+class _Problem:
+    """One problem of a batch and what its methods share: the labelled root
+    rows of the batch's root pass before the first failing one, with that
+    failure (None if every row it was asked for passed), the oracle and
+    riccati's seed trajectories ``(N, H+N)`` from the batch's one recursion
+    loop, and the initial values split under the power gauge of row 0.
+    Then each method's chain inputs (None for ``direct``), up to the first
+    method whose setup fails, with that failure."""
+
+    spec: RecurrenceSpec
+    initial: np.ndarray
+    roots: np.ndarray
+    root_error: Exception | None = None
+    oracle: np.ndarray | None = None
+    seeds: np.ndarray | None = None
+    chained: dict[str, _Chained | None] = field(default_factory=dict)
+    failure: tuple[str, Exception] | None = None
+    values: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, spec: RecurrenceSpec, initial, ordered) -> "_Problem":
+        """A problem of a batch running the methods ``ordered``, once they
+        are checked against it and the initial values against its order."""
+        issues = check_methods(spec, ordered)
+        if issues:
+            raise ValueError("; ".join(issues))
+        return cls(spec, _initial(initial, spec.order), np.empty((0, spec.order)))
+
+    @property
+    def ks(self) -> np.ndarray:
+        return np.arange(self.spec.k_start, self.spec.k_start + self.spec.horizon + 1)
+
+    def rows(self, count: int) -> np.ndarray:
+        """The root table, if its first ``count`` rows passed; else the
+        failure that stopped the root pass before them is raised."""
+        if len(self.roots) < count:
+            raise self.root_error
+        return self.roots
+
+    @cached_property
+    def power_start(self) -> np.ndarray:
+        """The initial values decomposed under the power gauge of root row 0,
+        where every power-gauge method starts."""
+        gauge = GaugeSet(k=self.spec.k_start, g=_vandermonde(self.roots[0])[1:])
+        return decompose_initial(self.initial, gauge).y
+
+    def set_up(self, ordered) -> None:
+        """Each method's chain inputs, in order, up to the first failing one."""
+        for name in ordered:
+            method = _METHODS[name]
+            try:
+                self.chained[name] = method.setup(self) if method.setup else None
+            except (RecurrenceError, ValueError) as exc:
+                self.failure = name, exc  # raised once the methods before it stepped
+                return
+
+    def table(self) -> ComparisonTable:
+        """The comparison table of the set-up methods' ``values``, once each
+        is finite; a setup failure is raised after them."""
+        ks, oracle, values = self.ks, self.oracle, self.values
+        for name, v in values.items():
+            _check_finite(v, ks, f"method '{name}'")
+        if self.failure is not None:
+            name, exc = self.failure
+            if isinstance(exc, RecurrenceError):
+                raise type(exc)(
+                    f"method '{name}': {exc.message}", k=exc.k, branch=exc.branch
+                ) from exc
+            raise exc
+        _check_finite(oracle, ks, "oracle (scalar recursion)")
+        rel_errors = {name: _relative_errors(v, oracle) for name, v in values.items()}
+        for name, errs in rel_errors.items():
+            _check_finite(errs, ks, f"method '{name}' relative error")
+        return ComparisonTable(k=ks, oracle=oracle, values=values, rel_errors=rel_errors)
+
+
 _branch_sum = partial(np.sum, axis=1)
 
 
-def _power_gauge_chain(spec, initial, roots, kernel=None) -> _Chained:
+def _power_gauge_chain(problem: _Problem, kernel=None) -> _Chained:
     """A power-gauge method over the ``(H+1, N)`` root table: ``kernel(r, R)``
     gives the step matrices or diagonals from the roots at k and k+1 (the
     forcing is spread by :func:`_spread`); no kernel means the exact step."""
-    ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
-    gauge = GaugeSet(k=spec.k_start, g=_vandermonde(roots[0])[1:])
-    Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge)
+    spec = problem.spec
+    roots = problem.rows(spec.horizon + 1)
+    Y0 = problem.power_start
     f, forcing = spec.table[: spec.horizon, :-1], spec.table[: spec.horizon, -1]
     if kernel is None:
-        T, push = _step_arrays(_vandermonde(roots), f, forcing, ks)
+        T, push = _step_arrays(_vandermonde(roots), f, forcing, problem.ks)
     else:
         T, push = kernel(roots[:-1], roots[1:]), -forcing[:, None] * _spread(roots[1:])
-    return _Chained(Y0.y, T, push, _branch_sum)
+    return _Chained(Y0, T, push, _branch_sum)
 
 
-def _companion_method_chain(spec, initial, roots) -> _Chained:
-    X0, T, push = _companion_chain(spec, initial)
+def _companion_method_chain(problem: _Problem) -> _Chained:
+    X0, T, push = _companion_chain(problem.spec, problem.initial)
     # the initial window, then the newest value of each state
     return _Chained(X0, T, push, lambda X: np.concatenate((X0[::-1], X[1:, 0]))[: len(X)])
 
 
-def _riccati_chain(spec, initial, roots) -> _Chained:
-    # Scalar solutions seeded with the root powers rho_n**j at the window start
-    # (the Vandermonde columns); their ratio sequences decouple the system, so each
+def _riccati_seeds(roots: np.ndarray) -> np.ndarray:
+    """Start values of riccati's N scalar solutions: the root powers
+    ``rho_n**j`` at the window start, the columns of the Vandermonde matrix."""
+    return _vandermonde(roots[0]).T
+
+
+def _riccati_chain(problem: _Problem) -> _Chained:
+    # The ratio sequences of the seeded solutions decouple the system, so each
     # component is multiplied by its branch ratio per step (as in product_solution).
+    spec = problem.spec
+    problem.rows(1)
     branches = [
-        oracle_ratio_branch(direct_solve(spec, seed), label=n)
-        for n, seed in enumerate(_vandermonde(roots[0]).T)
+        oracle_ratio_branch(ScalarTrajectory(values=y, k_start=spec.k_start), label=n)
+        for n, y in enumerate(problem.seeds)
     ]
     gauge0 = riccati_gauge(branches, spec.k_start)
-    Y0 = decompose_initial(np.asarray(initial, dtype=complex), gauge0)
+    Y0 = decompose_initial(problem.initial, gauge0)
     gains = np.stack([b.p1[: spec.horizon] for b in branches], axis=1)
     return _Chained(Y0.y, gains, np.zeros_like(gains), _branch_sum)
+
+
+def _recurse(problems: list[_Problem], seeded: bool) -> None:
+    """Each problem's oracle and, if ``seeded``, riccati's seed trajectories
+    of each problem whose root row 0 passed, from one :func:`_recur` loop."""
+    starts = [
+        [p.initial, *_riccati_seeds(p.roots)] if seeded and len(p.roots) else [p.initial]
+        for p in problems
+    ]
+    horizon = problems[0].spec.horizon
+    tables = [p.spec.table[:horizon] for p, s in zip(problems, starts) for _ in s]
+    y = _recur(tables, np.array([start for s in starts for start in s]))
+    first = 0
+    for p, s in zip(problems, starts):
+        p.oracle, p.seeds = y[first, : horizon + 1], y[first + 1 : first + len(s)]
+        first += len(s)
 
 
 def _run_chains(chained: list[_Chained]) -> list[np.ndarray]:
@@ -212,19 +317,24 @@ def _run_chains(chained: list[_Chained]) -> list[np.ndarray]:
 
 
 class _Method(NamedTuple):
-    """One row of the method table: ``setup(spec, initial, roots)`` gives the
-    method's chain inputs from the table of tracked roots (None for
-    ``direct``, which reports the oracle itself), the root rows it reads
-    (``"all"``, ``"first"`` or None) and its restrictions."""
+    """One row of the method table: ``setup(problem)`` gives the method's
+    chain inputs from a :class:`_Problem` (None for ``direct``, which
+    reports the oracle itself), the root rows it reads (``"all"``,
+    ``"first"`` or None), whether it reads riccati's seed recursions, and
+    its restrictions."""
 
-    setup: Callable[..., _Chained] | None = None
+    setup: Callable[[_Problem], _Chained] | None = None
     roots: str | None = None
+    seeded: bool = False
     order3_only: bool = False
     homogeneous_only: bool = False
 
     def driver(self, spec, initial, roots) -> np.ndarray:
-        """The method's values on its own: the chain with one member."""
-        return _run_chains([self.setup(spec, initial, roots)])[0]
+        """The method's values on its own, from the root table ``roots``:
+        the chain with one member."""
+        problem = _Problem(spec, np.asarray(initial, dtype=complex), roots)
+        _recurse([problem], self.seeded)
+        return _run_chains([self.setup(problem)])[0]
 
 
 _METHODS = {
@@ -235,7 +345,7 @@ _METHODS = {
         partial(_power_gauge_chain, kernel=_explicit3_matrix), "all", order3_only=True
     ),
     "wkb3": _Method(partial(_power_gauge_chain, kernel=_wkb3_gain), "all", order3_only=True),
-    "riccati": _Method(_riccati_chain, "first", homogeneous_only=True),
+    "riccati": _Method(_riccati_chain, "first", seeded=True, homogeneous_only=True),
     "wkb-general": _Method(partial(_power_gauge_chain, kernel=_wkb_gain), "all"),
 }
 METHOD_NAMES = tuple(_METHODS)
@@ -278,61 +388,94 @@ def compare_methods(
 
     Method order is preserved (duplicates dropped); the oracle is the scalar
     recursion, which ``direct`` reports as is.  The root-based methods share
-    the ``(H+1, N)`` table of tracked roots from one batched pass, built and
-    checked for root separation when the first method reading every row
-    sets up; ``riccati`` reads only row 0, of that table or of a one-row
-    pass, so a root-pass failure names a method that reads the failing row.
-    Every method but ``direct`` then steps on one chain, all methods in one
-    loop.  Failures are re-raised with the method name and step index
-    attached; a non-finite value in a method's output, in the oracle or in
-    a method's relative error (a finite error past double range against a
-    tiny oracle value) raises :class:`Breakdown` at the first index holding
-    one.  The first failing method in the requested order is the one
-    reported: a setup error is raised only after the methods before it
-    stepped finitely.
+    the ``(H+1, N)`` table of tracked roots from one batched pass, checked
+    for root separation once; ``riccati`` reads only its row 0 (a one-row
+    pass if no other method reads the table), so a root-pass failure at
+    row 0 names the first method reading any row, and one past row 0 the
+    first method reading every row.  Every method but ``direct`` then steps
+    on one chain, all methods in one loop.  Failures are re-raised with the
+    method name and step index attached; a non-finite value in a method's
+    output, in the oracle or in a method's relative error (a finite error
+    past double range against a tiny oracle value) raises
+    :class:`Breakdown` at the first index holding one.  The first failing
+    method in the requested order is the one reported: a setup error is
+    raised only after the methods before it stepped finitely.
+
+    This is the one-problem view of :func:`_compare_batch`.
     """
+    return _compare_batch([spec], initial, methods, root_tol)[0]
+
+
+def _compare_batch(specs, initial, methods, root_tol: float = DEFAULT_ROOT_TOL) -> list:
+    """:func:`compare_methods` of each problem of ``specs``, which share one
+    order and horizon, computed as one batch: one root pass over all their
+    rows, one recursion loop for all oracles and riccati seeds, and one
+    chain for all methods of all problems.  A problem whose window start
+    and coefficient table are bit-equal to an earlier one's reuses its
+    :class:`ComparisonTable`: the result is a deterministic function of
+    them, the initial values, the methods and the tolerance.
+
+    Returns the tables in the order of ``specs``.  A batched stage charges
+    each failure to the problem (and method) that read it, and the failure
+    of the first failing problem in that order is raised, so the result is
+    that of ``compare_methods`` called on each problem in turn.
+    """
+    if len({(spec.order, spec.horizon) for spec in specs}) > 1:
+        raise ValueError("a batch takes problems of one order and horizon")
     ordered = list(dict.fromkeys(methods))
-    issues = check_methods(spec, ordered)
-    if issues:
-        raise ValueError("; ".join(issues))
-    ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
-    roots = None  # the full table, built by the first method reading every row
-    chained: dict[str, _Chained | None] = {}
-    failure = None
+    keys = [(spec.k_start, spec.table.tobytes()) for spec in specs]
+    problems: dict = {}
+    for key, spec in zip(keys, specs):
+        if key not in problems:
+            problems[key] = _outcome(_Problem.of, spec, initial, ordered)
+    live = [p for p in problems.values() if isinstance(p, _Problem)]
     # overflow is reported below as a Breakdown at its first index
     with np.errstate(over="ignore", invalid="ignore"):
-        oracle = direct_solve(spec, initial).values[: spec.horizon + 1]
-        for name in ordered:
-            method = _METHODS[name]
+        if live:
+            _root_pass(live, ordered, root_tol)
+            _recurse(live, any(_METHODS[name].seeded for name in ordered))
+            for p in live:
+                p.set_up(ordered)
+                p.values = dict.fromkeys(p.chained, p.oracle)  # direct reports the oracle
+            stepped = [(p, name) for p in live for name, c in p.chained.items() if c is not None]
+            if stepped:
+                states = _run_chains([p.chained[name] for p, name in stepped])
+                for (p, name), values in zip(stepped, states):
+                    p.values[name] = values
+        results = {
+            key: _outcome(p.table) if isinstance(p, _Problem) else p for key, p in problems.items()
+        }
+    for key in keys:
+        if isinstance(results[key], Exception):
+            raise results[key]
+    return [results[key] for key in keys]
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the library error it raises."""
+    try:
+        return call(*args)
+    except (RecurrenceError, ValueError) as exc:
+        return exc
+
+
+def _root_pass(problems: list[_Problem], ordered, tol: float) -> None:
+    """Give each problem the root rows its methods read, from one pass: all
+    rows ``k_start .. k_start + H`` if a method reads them all (the whole
+    table is then checked for separation once, which only those methods
+    need), else row 0 if riccati runs, else none."""
+    readers = {_METHODS[name].roots for name in ordered}
+    if not readers & {"all", "first"}:
+        return
+    last = problems[0].spec.horizon if "all" in readers else 0
+    spans = [(p.spec, p.spec.k_start, p.spec.k_start + last) for p in problems]
+    for p, ((roots, _), error) in zip(problems, _root_tables(spans, tol)):
+        p.roots, p.root_error = roots, error
+        if last and error is None:
             try:
-                if method.roots == "all" and roots is None:
-                    roots, _ = _root_table(spec, spec.k_start, ks[-1], root_tol)
-                    _check_separation(roots, ks)
-                rows = roots
-                if method.roots == "first" and roots is None:
-                    rows, _ = _root_table(spec, spec.k_start, spec.k_start, root_tol)
-                chained[name] = method.setup(spec, initial, rows) if method.setup else None
-            except (RecurrenceError, ValueError) as exc:
-                failure = name, exc  # raised once the methods before it stepped
-                break
-        values = dict.fromkeys(chained, oracle)  # direct reports the oracle
-        stepped = {name: c for name, c in chained.items() if c is not None}
-        if stepped:
-            values.update(zip(stepped, _run_chains(list(stepped.values()))))
-        for name, v in values.items():
-            _check_finite(v, ks, f"method '{name}'")
-        if failure is not None:
-            name, exc = failure
-            if isinstance(exc, RecurrenceError):
-                raise type(exc)(
-                    f"method '{name}': {exc.message}", k=exc.k, branch=exc.branch
-                ) from exc
-            raise exc
-        _check_finite(oracle, ks, "oracle (scalar recursion)")
-        rel_errors = {name: _relative_errors(v, oracle) for name, v in values.items()}
-        for name, errs in rel_errors.items():
-            _check_finite(errs, ks, f"method '{name}' relative error")
-    return ComparisonTable(k=ks, oracle=oracle, values=values, rel_errors=rel_errors)
+                _check_separation(roots, p.ks)
+            except DegenerateRoots as exc:
+                p.roots, p.root_error = roots[:1], exc
 
 
 def epsilon_sweep(
@@ -342,32 +485,21 @@ def epsilon_sweep(
     epsilons,
     root_tol: float = DEFAULT_ROOT_TOL,
 ) -> SweepResult:
-    """Terminal relative error of each method over a slow-variation sweep.
-
-    A value whose coefficient table is bit-equal to one already computed
-    (a repeated value, or a problem that does not depend on epsilon) reuses
-    that :class:`ComparisonTable`: ``compare_methods`` is a deterministic
-    function of the table, the window, the initial values, the methods and
-    the tolerance, so the result is the same."""
-    return _sweep(spec, initial, methods, epsilons, root_tol, {})
-
-
-def _sweep(spec, initial, methods, epsilons, root_tol, tables: dict) -> SweepResult:
-    """:func:`epsilon_sweep` that first looks each value up in ``tables``:
-    the ``ComparisonTable`` of each problem with this spec's window, initial
-    values, methods and tolerance, keyed by the bytes of its coefficient
-    table.  ``run`` passes in the table of the scenario's own problem."""
-    ordered = list(dict.fromkeys(methods))
+    """Terminal relative error of each method over a slow-variation sweep:
+    the problems ``spec.with_epsilon(e)``, built first, then compared as one
+    batch (:func:`_compare_batch`, which computes each distinct coefficient
+    table once)."""
     eps = np.asarray(list(epsilons), dtype=float)
-    terminal: dict[str, list[float]] = {name: [] for name in ordered}
-    for value in eps:
-        problem = spec.with_epsilon(float(value))
-        key = problem.table.tobytes()
-        if key not in tables:
-            tables[key] = compare_methods(problem, initial, ordered, root_tol)
-        for name in ordered:
-            terminal[name].append(tables[key].terminal_error(name))
+    problems = [spec.with_epsilon(float(value)) for value in eps]
+    return _sweep_result(eps, _compare_batch(problems, initial, methods, root_tol), methods)
+
+
+def _sweep_result(epsilons, tables: list[ComparisonTable], methods) -> SweepResult:
+    """The terminal errors of the tables of a sweep's problems, in order."""
+    names = dict.fromkeys(methods)
     return SweepResult(
-        epsilons=eps,
-        terminal_errors={name: np.asarray(v) for name, v in terminal.items()},
+        epsilons=np.asarray(epsilons, dtype=float),
+        terminal_errors={
+            name: np.asarray([t.terminal_error(name) for t in tables]) for name in names
+        },
     )

@@ -1,0 +1,261 @@
+"""One batch per run: the problems of a run and its sweep share one scalar
+recursion loop, one root pass and one chain.
+
+Each batched stage must give every member the bits it gets alone: a
+recursion member those of ``direct_solve``, a root-pass span those of
+``_root_table``, a problem the ``ComparisonTable`` of ``compare_methods``.
+A failure is charged to the problem (and method) that read it, and the
+first failing problem in order is the one reported, whatever stage each
+problem fails in.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wkbrec import (
+    AmbiguousTracking,
+    Breakdown,
+    Constant,
+    DegenerateRoots,
+    RecurrenceError,
+    RecurrenceSpec,
+    Tabulated,
+    compare_methods,
+    direct_solve,
+    epsilon_sweep,
+)
+from wkbrec import wkb
+from wkbrec.core import _recur
+from wkbrec.roots import DEFAULT_ROOT_TOL, _root_table, _root_tables
+from wkbrec.wkb import _compare_batch
+from conftest import sin_family
+from test_array_drivers import drifting_spec, squeeze_spec
+from test_root_frames import near_tie_spec
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def random_spec(rng, n, horizon, forced, magnitude):
+    """Order-n tabulated spec with random coefficients of about
+    ``magnitude`` (f[0] is never exactly zero) and, if ``forced``, a random
+    forcing."""
+    shape = (horizon + n + 1, n + 1)
+    values = magnitude * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / n
+    forcing = Tabulated(values=values[:, -1], k_first=0) if forced else Constant(0.0)
+    return RecurrenceSpec(
+        order=n,
+        coeffs=tuple(Tabulated(values=values[:, j], k_first=0) for j in range(n)),
+        k_start=0,
+        horizon=horizon,
+        forcing=forcing,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    m=st.integers(1, 6),
+    seed=seeds,
+    forced=st.booleans(),
+    log_magnitude=st.floats(-5, 5),
+    shared=st.booleans(),
+)
+def test_each_recursion_member_equals_direct_solve(n, m, seed, forced, log_magnitude, shared):
+    # a member's bits do not depend on the members beside it, whether each
+    # has its own table or all step on one (as riccati's seeds do)
+    rng = np.random.default_rng(seed)
+    horizon = int(rng.integers(1, 40))
+    specs = [random_spec(rng, n, horizon, forced, 10.0**log_magnitude) for _ in range(m)]
+    if shared:
+        specs = [specs[0]] * m
+    initial = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    tables = [spec.table[:horizon] for spec in specs]
+    with np.errstate(all="ignore"):
+        got = _recur(tables, initial)
+        for spec, start, values in zip(specs, initial, got):
+            assert values.tobytes() == direct_solve(spec, start).values.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=seeds,
+    spans=st.lists(st.tuples(st.integers(0, 30), st.integers(-1, 30)), min_size=1, max_size=4),
+)
+def test_each_root_span_equals_its_pass_alone(n, seed, spans):
+    # spans past the window (which ends at k=30+n) fail alone as in the batch
+    rng = np.random.default_rng(seed)
+    specs = [drifting_spec(rng, n, rng.uniform(0.01, 0.2), False) for _ in spans]
+    batch = _root_tables([(s, lo, lo + width) for s, (lo, width) in zip(specs, spans)], 1e-10)
+    for spec, (lo, width), ((roots, residuals), error) in zip(specs, spans, batch):
+        try:
+            want_roots, want_residuals = _root_table(spec, lo, lo + width, 1e-10)
+        except RecurrenceError as want:
+            assert (type(error), error.k, str(error)) == (type(want), want.k, str(want))
+            continue
+        assert error is None
+        assert roots.tobytes() == want_roots.tobytes()
+        assert residuals.tobytes() == want_residuals.tobytes()
+
+
+def test_a_failing_span_keeps_its_rows_and_leaves_the_others_whole():
+    good = sin_family(epsilon=0.02, horizon=20)
+    f = good.table[:, :-1].copy()
+    f[7, 1] = np.nan
+    bad = replace(good, coeffs=tuple(Tabulated(values=f[:, j], k_first=0) for j in range(3)))
+    spans = [(good, 0, 20), (bad, 0, 20), (good, 0, 20)]
+    (first, none), (rows, error), (last, _) = _root_tables(spans, DEFAULT_ROOT_TOL)
+    whole = _root_table(good, 0, 20, DEFAULT_ROOT_TOL)
+    assert none is None
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, whole))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(last, whole))
+    assert (type(error), error.k) == (RecurrenceError, 7)
+    assert len(rows[0]) == 7
+    assert rows[0].tobytes() == whole[0][:7].tobytes()
+
+
+def test_a_tie_keeps_the_rows_before_it():
+    # tracking from k=3 to k=4 ties: rows 0-3 are labelled, row 4 fails
+    spec = near_tie_spec()
+    [((roots, residuals), error)] = _root_tables([(spec, 0, spec.horizon)], DEFAULT_ROOT_TOL)
+    assert (type(error), error.k) == (AmbiguousTracking, 4)
+    want = _root_table(spec, 0, 3, DEFAULT_ROOT_TOL)
+    assert roots.tobytes() == want[0].tobytes()
+    assert residuals.tobytes() == want[1].tobytes()
+
+
+def test_degenerate_roots_past_row_0_are_not_riccatis():
+    # the separation check of the whole table fails at k=4; riccati reads
+    # only row 0, so the failure is the first method reading every row
+    spec = squeeze_spec(3, 4, 1.5)
+    initial = np.full(3, 1.0 + 0.5j)
+    compare_methods(spec, initial, ["riccati"])
+    with pytest.raises(DegenerateRoots) as info:
+        compare_methods(spec, initial, ["riccati", "wkb-general", "gauge-exact"])
+    assert info.value.k == 4
+    assert info.value.message.startswith("method 'wkb-general': ")
+
+
+def assert_same_table(got, want):
+    assert got.k.tobytes() == want.k.tobytes()
+    assert got.oracle.tobytes() == want.oracle.tobytes()
+    assert list(got.values) == list(want.values)
+    for name in want.values:
+        assert got.values[name].tobytes() == want.values[name].tobytes(), name
+        assert got.rel_errors[name].tobytes() == want.rel_errors[name].tobytes(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=seeds,
+    forced=st.booleans(),
+    eps=st.lists(st.floats(0.01, 0.2), min_size=1, max_size=4),
+    repeat=st.booleans(),
+)
+def test_a_batch_equals_each_problem_alone(n, seed, forced, eps, repeat):
+    rng = np.random.default_rng(seed)
+    specs = []
+    for e in eps:
+        specs.append(drifting_spec(np.random.default_rng(seed), n, e, forced))
+    if repeat:  # a repeated problem reuses the table of its first copy
+        specs.insert(1, specs[0])
+    names = [name for name in wkb.METHOD_NAMES if not wkb.check_methods(specs[0], [name])]
+    names = [str(name) for name in rng.permutation(names)]
+    initial = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tables = _compare_batch(specs, initial, names)
+    for spec, table in zip(specs, tables):
+        assert_same_table(table, compare_methods(spec, initial, names))
+    if repeat:
+        assert tables[1] is tables[0]
+
+
+def error_of(fn):
+    """The library error ``fn()`` raises, as (type, message)."""
+    with pytest.raises((RecurrenceError, ValueError)) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def root_pass_failure():
+    """The README family with a NaN f[1] at k=3: gauge-exact's root pass
+    fails there."""
+    spec = sin_family(epsilon=0.01, horizon=6)
+    f = spec.table[:, :-1].copy()
+    f[3, 1] = np.nan
+    return replace(spec, coeffs=tuple(Tabulated(values=f[:, j], k_first=0) for j in range(3)))
+
+
+def setup_failure():
+    """Constant roots 1e-160, 1 and 2: riccati's seed solution rho**k of the
+    smallest root is 1e-320 at k=2, below the normal range, so its ratio is
+    undefined and riccati's setup fails; the root pass succeeds."""
+    f = np.poly([1e-160, 1.0, 2.0])[::-1][:3]
+    return RecurrenceSpec(order=3, coeffs=tuple(map(Constant, f)), k_start=0, horizon=6)
+
+
+METHODS = ["gauge-exact", "riccati", "direct"]
+INITIAL = np.array([1.0, 0.5, 0.25])
+
+
+def test_setup_failure_is_riccatis_and_root_failure_gauge_exacts():
+    assert error_of(lambda: compare_methods(root_pass_failure(), INITIAL, METHODS)) == (
+        RecurrenceError,
+        "method 'gauge-exact': non-finite characteristic coefficient at index k=3",
+    )
+    assert error_of(lambda: compare_methods(setup_failure(), INITIAL, METHODS)) == (
+        Breakdown,
+        "method 'riccati': solution value vanishes, ratio undefined at index k=2 branch 0",
+    )
+
+
+@pytest.mark.parametrize("first", ["root pass", "setup"])
+def test_the_first_failing_problem_is_reported_whatever_its_stage(first):
+    # the stages run for all problems at once, yet the order of the problems
+    # decides which failure is raised, not the order of the stages
+    problems = {"root pass": root_pass_failure(), "setup": setup_failure()}
+    specs = [problems[first], *(s for name, s in problems.items() if name != first)]
+    want = error_of(lambda: compare_methods(specs[0], INITIAL, METHODS))
+    assert error_of(lambda: _compare_batch(specs, INITIAL, METHODS)) == want
+
+
+def test_a_problem_failing_before_any_stage_is_reported_in_its_turn():
+    # riccati requires zero forcing: checked before any stage runs
+    forced = replace(sin_family(epsilon=0.01, horizon=6), forcing=Constant(1.0))
+    want = (ValueError, "method 'riccati' requires zero forcing")
+    assert error_of(lambda: _compare_batch([forced, setup_failure()], INITIAL, METHODS)) == want
+    want = error_of(lambda: compare_methods(setup_failure(), INITIAL, METHODS))
+    assert error_of(lambda: _compare_batch([setup_failure(), forced], INITIAL, METHODS)) == want
+
+
+def test_a_bad_tolerance_is_the_first_root_reading_methods_error():
+    # the tolerance is checked in the batch's one root pass, but charged to
+    # each problem's first method reading roots, after the methods before it
+    spec = sin_family(epsilon=0.01, horizon=6)
+    with pytest.raises(ValueError, match="root tolerance must be positive and finite"):
+        _compare_batch([spec, spec.with_epsilon(0.02)], INITIAL, ["companion", "riccati"], -1.0)
+    long = sin_family(epsilon=0.01, horizon=2000)
+    with pytest.raises(Breakdown, match="method 'companion': non-finite value at index k=648"):
+        _compare_batch([long, long.with_epsilon(0.02)], INITIAL, ["companion", "riccati"], -1.0)
+
+
+def test_problems_of_one_order_and_horizon_only():
+    with pytest.raises(ValueError, match="one order and horizon"):
+        _compare_batch([sin_family(0.01, 6), sin_family(0.01, 7)], INITIAL, ["direct"])
+
+
+def test_sweep_is_the_batch_of_its_problems():
+    spec = sin_family(epsilon=0.01, horizon=40)
+    eps = [0.02, 0.01, 0.005, 0.01]
+    sweep = epsilon_sweep(spec, INITIAL, ["wkb-general", "gauge-exact"], eps)
+    assert np.array_equal(sweep.epsilons, eps)
+    for i, e in enumerate(eps):
+        table = compare_methods(spec.with_epsilon(e), INITIAL, ["wkb-general", "gauge-exact"])
+        for name in ("wkb-general", "gauge-exact"):
+            assert sweep.terminal_errors[name][i] == table.terminal_error(name)
+    empty = epsilon_sweep(spec, INITIAL, ["wkb-general"], [])
+    assert empty.epsilons.shape == (0,) and empty.terminal_errors["wkb-general"].shape == (0,)

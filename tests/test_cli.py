@@ -331,6 +331,28 @@ class TestNonFiniteInput:
         assert capsys.readouterr() == ("", line)
         assert not outdir.exists()
 
+    def test_sweep_override_whose_problem_cannot_be_built_is_a_schema_error(
+        self, tmp_path, capsys
+    ):
+        # the scenario above without its sweep list: the command-line values
+        # are built as the scenario's are, and the failing one is named
+        outdir = tmp_path / "out"
+        data = readme_window(outdir, 2**62, 5)
+        data["coefficients"][0] = {
+            "variant": "sinusoidal", "amplitude": "0.2", "offset": "-6",
+            "frequency": 1e300, "epsilon": 0,
+        }
+        scenario = write_scenario(tmp_path / "sw.json", data)
+        assert main(["validate", scenario]) == EXIT_OK
+        line = (
+            "--epsilons value 0.01: sinusoidal model: sine argument is infinite "
+            f"at index k={2**62} (math domain error)\n"
+        )
+        assert main(["sweep", scenario, "--epsilons", "0", "0.01"]) == EXIT_SCHEMA
+        assert capsys.readouterr() == ("", line)
+        assert not outdir.exists()
+        assert main(["sweep", scenario, "--epsilons", "0"]) == EXIT_OK
+
 
 class TestSweep:
     def test_monotone_sweep_summary(self, tmp_path):
@@ -384,50 +406,116 @@ def readme_scenario(outdir, epsilon):
 
 class TestSweepReuse:
     """``run`` computes its own problem once, for its tables and for a sweep
-    value with the same coefficient table."""
+    value with the same coefficient table, and all distinct problems in one
+    batch: one root pass, one recursion loop and one chain."""
 
-    def count_calls(self, monkeypatch, name):
+    def count_calls(self, monkeypatch, module, name, size):
+        # one entry per call: the size of the batch it was handed
         calls = []
-        original = getattr(wkbrec.wkb, name)
+        original = getattr(module, name)
 
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
+        def counted(*args):
+            calls.append(size(*args))
+            return original(*args)
 
-        monkeypatch.setattr(wkbrec.wkb, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
+
+    def count_batches(self, monkeypatch):
+        wkb = wkbrec.wkb
+        return (
+            self.count_calls(monkeypatch, wkb, "_root_tables", lambda spans, tol: len(spans)),
+            self.count_calls(monkeypatch, wkb, "_recur", lambda tables, initial: len(initial)),
+            self.count_calls(monkeypatch, wkb, "_chain", lambda Y0, T, push: len(Y0)),
+        )
 
     def run_and_sweep(self, tmp_path, monkeypatch, epsilon):
         scenario = write_scenario(tmp_path / "readme.json", readme_scenario(tmp_path, epsilon))
-        tables = self.count_calls(monkeypatch, "_root_table")
-        chains = self.count_calls(monkeypatch, "_chain")
+        passes, loops, chains = self.count_batches(monkeypatch)
         assert main(["run", scenario, "--output-dir", str(tmp_path / "run")]) == EXIT_OK
-        counts = len(tables), len(chains)
+        counts = passes.copy(), loops.copy(), chains.copy()
         assert main(["sweep", scenario, "--output-dir", str(tmp_path / "sweep")]) == EXIT_OK
         ran = (tmp_path / "run" / "readme_sweep.csv").read_bytes()
         assert ran == (tmp_path / "sweep" / "readme_sweep.csv").read_bytes()
         return counts
 
     def test_sweep_value_of_the_run_problem_reuses_its_table(self, tmp_path, monkeypatch):
-        # the run at eps=0.01 and the sweep values 0.02, 0.005: one root
-        # table and one chain loop each
+        # the run at eps=0.01 and the sweep values 0.02, 0.005: three
+        # problems in one root pass, one loop of their oracles and one chain
+        # of their three chained methods each
         counts = self.run_and_sweep(tmp_path, monkeypatch, 0.01)
-        assert counts == (3, 3)
+        assert counts == ([3], [3], [9])
 
     def test_other_epsilon_computes_every_sweep_value(self, tmp_path, monkeypatch):
         counts = self.run_and_sweep(tmp_path, monkeypatch, 0.015)
-        assert counts == (4, 4)
+        assert counts == ([4], [4], [12])
 
     def test_sweep_without_epsilon_dependence_computes_once(self, tmp_path, monkeypatch):
         data = fibonacci_scenario(tmp_path)
         data["epsilon_sweep"] = [0.02, 0.01, 0.0]
         scenario = write_scenario(tmp_path / "fib.json", data)
-        chains = self.count_calls(monkeypatch, "_chain")
+        passes, loops, chains = self.count_batches(monkeypatch)
         assert main(["sweep", scenario]) == EXIT_OK
-        assert len(chains) == 1
+        assert (passes, loops, chains) == ([], [1], [1])
         _, rows = read_csv(tmp_path / "fib_sweep.csv")
         assert [float(r[0]) for r in rows] == [0.02, 0.01, 0.0]
         assert len({r[1] for r in rows}) == 1
+
+    def test_run_with_all_methods_and_a_sweep_is_one_batch(self, tmp_path, monkeypatch):
+        # the benchmark's order3-run-sweep shape: every method at eps=0.01
+        # and the sweep 0.02, 0.01, 0.005 make three problems, with three
+        # riccati seed recursions each; one eigvals call, one polish, one
+        # recursion loop and one chain serve them all
+        data = readme_scenario(tmp_path, 0.01)
+        data["methods"] = list(wkbrec.wkb.METHOD_NAMES)
+        scenario = write_scenario(tmp_path / "readme.json", data)
+        passes, loops, chains = self.count_batches(monkeypatch)
+        loops += self.count_calls(monkeypatch, wkbrec.core, "_recur", lambda t, i: len(i))
+        polish = self.count_calls(monkeypatch, wkbrec.roots, "_polish", lambda f, z: len(f))
+        eigvals = self.count_calls(monkeypatch, np.linalg, "eigvals", len)
+        assert main(["run", scenario]) == EXIT_OK
+        rows = 3 * (data["horizon"] + 1)
+        assert (passes, loops, chains) == ([3], [12], [18])
+        assert (eigvals, polish) == ([rows], [rows])
+
+
+class TestFailureOrder:
+    """``run`` computes its own problem and its sweep in one batch, yet
+    reports their failures as if it computed them in turn: the run's own
+    problem first, then the sweep values in order."""
+
+    def scenario(self, tmp_path, epsilon, sweep):
+        # f[1] = 11 + 1e-320 * eps * k stays near 11 until eps * k overflows,
+        # and the root pass fails there: at k=5 for eps=4e307, at k=2 for
+        # eps=1e308
+        data = sweep_scenario(tmp_path)
+        data["coefficients"] = [
+            {"variant": "constant", "value": "-6"},
+            {"variant": "polynomial", "coeffs": ["11", "1e-320"], "epsilon": epsilon},
+            {"variant": "constant", "value": "-6"},
+        ]
+        data.update(horizon=10, methods=["gauge-exact"], epsilon_sweep=sweep)
+        return write_scenario(tmp_path / "order.json", data)
+
+    def failure(self, spec):
+        with pytest.raises(wkbrec.RecurrenceError) as info:
+            wkbrec.compare_methods(spec, [1.0, 0.5, 0.25], ["gauge-exact"])
+        return f"numerical breakdown: {info.value}\n"
+
+    def test_the_run_problem_fails_before_its_sweep(self, tmp_path, capsys):
+        scenario = self.scenario(tmp_path, 4e307, [1e308])
+        spec = wkbrec.load_scenario(scenario).spec
+        line = self.failure(spec)
+        assert "at index k=5" in line
+        assert self.failure(spec.with_epsilon(1e308)) != line
+        assert main(["run", scenario]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", line)
+
+    def test_sweep_values_fail_in_order(self, tmp_path, capsys):
+        scenario = self.scenario(tmp_path, 0.0, [0.0, 4e307, 1e308])
+        spec = wkbrec.load_scenario(scenario).spec
+        assert main(["sweep", scenario]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", self.failure(spec.with_epsilon(4e307)))
 
 
 class TestGenerate:
@@ -661,7 +749,7 @@ class TestFailureReport:
         def refuse(*args, **kwargs):
             raise ValueError("refused by the library")
 
-        monkeypatch.setattr(cli, "compare_methods", refuse)
+        monkeypatch.setattr(cli, "_compare_batch", refuse)
         scenario = write_scenario(tmp_path / "fib.json", fibonacci_scenario(tmp_path))
         line = "refused by the library\n"
         assert self.invoke(capsys, ["run", scenario]) == (EXIT_SCHEMA, "", line)

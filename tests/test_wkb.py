@@ -314,22 +314,24 @@ class TestCompareMethods:
 class TestSharedFrames:
     @pytest.fixture
     def frame_calls(self, monkeypatch):
-        # one entry per root-table pass: () for the full span, else its range
+        # one list per root pass, holding one entry per span: () for the
+        # full span, else its range
         calls = []
-        original = wkb._root_table
+        original = wkb._root_tables
 
-        def counting(spec, k_lo, k_hi, tol):
-            full = (k_lo, k_hi) == (spec.k_start, spec.k_start + spec.horizon)
-            calls.append(() if full else (k_lo, k_hi))
-            return original(spec, k_lo, k_hi, tol)
+        def counting(spans, tol):
+            full = [(spec.k_start, spec.k_start + spec.horizon) for spec, _, _ in spans]
+            ranges = [(k_lo, k_hi) for _, k_lo, k_hi in spans]
+            calls.append([() if r == f else r for r, f in zip(ranges, full)])
+            return original(spans, tol)
 
-        monkeypatch.setattr(wkb, "_root_table", counting)
+        monkeypatch.setattr(wkb, "_root_tables", counting)
         return calls
 
     def test_one_frame_pass_for_every_method(self, frame_calls, rng):
         spec = sin_family(epsilon=0.01, horizon=40)
         compare_methods(spec, complex_array(rng, 3), wkb.METHOD_NAMES)
-        assert frame_calls == [()]
+        assert frame_calls == [[()]]
 
     def test_one_separation_check_for_every_method(self, monkeypatch, rng):
         calls = []
@@ -364,7 +366,7 @@ class TestSharedFrames:
     def test_riccati_alone_computes_only_the_first_frame(self, frame_calls, rng):
         spec = sin_family(epsilon=0.01, horizon=40, k_start=5)
         compare_methods(spec, complex_array(rng, 3), ["riccati"])
-        assert frame_calls == [(5, 5)]
+        assert frame_calls == [[(5, 5)]]
 
 
 class TestOneRootTable:
