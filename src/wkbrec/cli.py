@@ -32,7 +32,7 @@ import math
 import os
 import sys
 import tempfile
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +55,6 @@ EXIT_IO = 4
 
 # the arrays the JSON writer formats itself: the index, value and table columns
 _ARRAY_DTYPES = {np.dtype(np.int64), np.dtype(float), np.dtype(complex)}
-
-
-def _fmt(values) -> list[str]:
-    # +0.0 and -0.0 must print identically for byte-stable output
-    return ["%.17g" % x for x in (np.asarray(values, dtype=float) + 0.0).tolist()]
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -108,10 +103,15 @@ def _json_text(payload) -> str:
     return _emit(payload, "") + "\n"
 
 
-def _csv(columns: dict[str, list[str]]) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(row) for row in zip(*columns.values()))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], k, numbers: np.ndarray) -> str:
+    """A CSV table: ``header``, then one row per row of the floats
+    ``numbers``, each written ``%.17g`` (of the number + 0.0, so -0.0 and
+    0.0 print alike) after the int64 ``k[i]`` unless ``k`` is None: one
+    ``%`` format of a repeated row template."""
+    row, cells = ",".join(["%.17g"] * numbers.shape[1]) + "\n", numbers + 0.0
+    if k is not None:
+        row, cells = "%d," + row, np.column_stack((k.astype(object), cells.astype(object)))
+    return ",".join(header) + "\n" + (row * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
@@ -121,31 +121,25 @@ def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
             for name, vals in table.values.items()
         }
         return _json_text({"k": table.k, "methods": methods})
-    columns = {"k": list(map(str, table.k.tolist()))}
-    for name, values in table.values.items():
-        columns[f"{name}_re"] = _fmt(values.real)
-        columns[f"{name}_im"] = _fmt(values.imag)
-    return _csv(columns)
+    header = ["k", *(f"{name}_{part}" for name in table.values for part in ("re", "im"))]
+    # each complex column as its re, im pair of float columns
+    return _csv(header, table.k, np.stack(list(table.values.values()), axis=1).view(float))
 
 
 def _error_tables(table: ComparisonTable, fmt: str) -> str:
     if fmt == "json":
         errors = {name: errs + 0.0 for name, errs in table.rel_errors.items()}
         return _json_text({"k": table.k, "relative_error": errors})
-    columns = {"k": list(map(str, table.k.tolist()))}
-    for name, errs in table.rel_errors.items():
-        columns[f"{name}_relerr"] = _fmt(errs)
-    return _csv(columns)
+    header = ["k", *(f"{name}_relerr" for name in table.rel_errors)]
+    return _csv(header, table.k, np.stack(list(table.rel_errors.values()), axis=1))
 
 
 def _sweep_table(result: SweepResult, fmt: str) -> str:
     if fmt == "json":
         errors = {n: e + 0.0 for n, e in result.terminal_errors.items()}
         return _json_text({"epsilon": result.epsilons + 0.0, "terminal_relative_error": errors})
-    columns = {"epsilon": _fmt(result.epsilons)}
-    for name, errs in result.terminal_errors.items():
-        columns[f"{name}_terminal_relerr"] = _fmt(errs)
-    return _csv(columns)
+    header = ["epsilon", *(f"{name}_terminal_relerr" for name in result.terminal_errors)]
+    return _csv(header, None, np.column_stack((result.epsilons, *result.terminal_errors.values())))
 
 
 def _cmd_validate(args) -> int:
@@ -261,6 +255,7 @@ def _finite_number(allow_zero: bool):
     return parse
 
 
+@cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wkbrec",

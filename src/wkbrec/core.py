@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IndexOutOfWindow, ZeroCoefficient
 
@@ -315,13 +316,15 @@ def _recur(tables, initial: np.ndarray) -> np.ndarray:
     y[:, :n] = initial
     if M == 1:
         f, forcing, y1 = tables[0][:, :-1], tables[0][:, -1], y[0]
-        for s in range(H):
-            y1[s + n] = -(f[s] @ y1[s : s + n] + forcing[s])
+        for k, row, window, c in zip(range(n, H + n), f, sliding_window_view(y1, n), forcing):
+            y1[k] = -(row @ window + c)
         return y
-    tables = np.stack(tables)
-    f, forcing, states = tables[:, :, None, :-1], tables[:, :, -1], y[:, :, None]
-    for s in range(H):
-        y[:, s + n] = -((f[:, s] @ states[:, s : s + n])[:, 0, 0] + forcing[:, s])
+    tables = np.stack(tables, axis=1)  # (H, M, N+1)
+    f, forcing = tables[:, :, None, :-1], tables[:, :, -1]
+    # window s: each member's column y[m, s:s+N], as (M, N, 1)
+    windows = sliding_window_view(y[:, :, None], n, axis=1).swapaxes(-1, -2).swapaxes(0, 1)
+    for k, row, window, c in zip(range(n, H + n), f, windows, forcing):
+        y[:, k] = -((row @ window)[:, 0, 0] + c)
     return y
 
 
@@ -361,20 +364,31 @@ def _chain(Y0: np.ndarray, T, push) -> np.ndarray:
 
     Each index takes one batched product ``(M, N, N) @ (M, N, 1)``, which
     numpy computes bit for bit as the M products ``(N, N) @ (N,)``, so a
-    chain's states do not depend on the chains stepped beside it.  A lone
-    chain steps in 2-D, which is faster per step than a batch of one, and
-    its step matrices are not copied."""
+    chain's states do not depend on the chains stepped beside it.  Each chain
+    is written once into one ``(H, M, N, N)`` step array (diagonals as ``diag
+    * I``).  A lone chain steps in 2-D, faster than a batch of one, and on its
+    step matrices uncopied."""
     M, N = np.shape(Y0)
-    T = [t[..., None] * np.eye(N) if t.ndim == 2 else t for t in T]
-    if M == 1:
-        T, push, Y = T[0], push[0], np.empty((len(T[0]) + 1, N), dtype=complex)
+    H = len(T[0])
+    if M == 1 and T[0].ndim == 3:
+        steps = T[0][:, None]
     else:
-        T, push = np.stack(T, axis=1), np.stack(push, axis=1)[..., None]
-        Y = np.empty((len(T) + 1, M, N, 1), dtype=complex)
+        steps = np.empty((H, M, N, N), dtype=complex)
+        for m, t in enumerate(T):
+            if t.ndim == 2:
+                np.multiply(t[..., None], np.eye(N), out=steps[:, m])
+            else:
+                steps[:, m] = t
+    if M == 1:
+        steps, push, Y = steps[:, 0], push[0], np.empty((H + 1, N), dtype=complex)
+    else:
+        push = np.stack(push, axis=1)[..., None]
+        Y = np.empty((H + 1, M, N, 1), dtype=complex)
     Y[0] = np.reshape(Y0, Y.shape[1:])
-    for s in range(len(T)):
-        Y[s + 1] = T[s] @ Y[s] + push[s]
-    return np.reshape(Y, (len(Y), M, N)).swapaxes(0, 1)
+    for t, p, y, y_next in zip(steps, push, Y, Y[1:]):
+        np.matmul(t, y, out=y_next)
+        y_next += p
+    return np.reshape(Y, (H + 1, M, N)).swapaxes(0, 1)
 
 
 def _companion_chain(spec: RecurrenceSpec, initial) -> tuple[np.ndarray, ...]:

@@ -427,11 +427,12 @@ def _labelled(f, z, unsettled, k_lo: int, tol: float, stop: int, error):
     if tie is not None:
         stop, error = len(matches) + 1, tie
     z, residuals = z[:stop], residuals[:stop]
-    labels = np.empty(z.shape, dtype=int)
-    if stop:
-        labels[0] = np.lexsort((z[0].imag, z[0].real))
-    for t in range(1, stop):
-        labels[t] = matches[t - 1][labels[t - 1]]
+    # labels[t] = matches[t-1][labels[t-1]], as a prefix scan in log2(W) gathers
+    labels = np.concatenate((np.lexsort((z[:1].imag, z[:1].real)), matches))
+    d = 1
+    while d < stop:
+        labels[d:] = np.take_along_axis(labels[d:], labels[:-d], axis=1)
+        d *= 2
     roots = np.take_along_axis(z, labels, axis=1), np.take_along_axis(residuals, labels, axis=1)
     return roots, None if error is None else error.with_context(k=k_lo + stop)
 

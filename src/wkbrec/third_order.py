@@ -61,11 +61,11 @@ def x_terms(gauge: GaugeSet, coeffs) -> XTerms:
     return XTerms(*quad, *cubic)
 
 
-def _explicit3_matrix(r: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Step matrices of :func:`explicit_step`, roots ``r`` at k, ``R`` at k+1."""
+def _explicit3_matrix(r: np.ndarray, R: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Step matrices of :func:`explicit_step`: roots ``r`` at k, ``R`` at k+1, ``_spread(R)``."""
     S = R[..., [1, 2, 0]] + R[..., [2, 0, 1]]
     coupling = (S[..., :, None] - (R + r)[..., None, :]) * (r * (R - r))[..., None, :]
-    t = _spread(R)[..., :, None] * coupling
+    t = spread[..., :, None] * coupling
     t[..., np.arange(3), np.arange(3)] += r
     return t
 
@@ -97,7 +97,8 @@ def explicit_step(
     if Y.order != 3:
         raise ValueError("third-order step requires order 3 throughout")
     r, R = _frames_checked(Y, frame_now, frame_next)
-    y = _explicit3_matrix(r, R) @ Y.y - f_k * _spread(R)
+    spread = _spread(R)
+    y = _explicit3_matrix(r, R, spread) @ Y.y - f_k * spread
     return ComponentVector(k=Y.k + 1, y=y)
 
 

@@ -217,6 +217,11 @@ class _Problem:
         gauge = GaugeSet(k=self.spec.k_start, g=_vandermonde(self.roots[0])[1:])
         return decompose_initial(self.initial, gauge).y
 
+    @cached_property
+    def power_spread(self) -> np.ndarray:
+        """:func:`_spread` of root rows 1 .. H, shared by the power-gauge methods."""
+        return _spread(self.rows(self.spec.horizon + 1)[1:])
+
     def set_up(self, ordered) -> None:
         """Each method's chain inputs, in order, up to the first failing one."""
         for name in ordered:
@@ -261,8 +266,12 @@ def _power_gauge_chain(problem: _Problem, kernel=None) -> _Chained:
     if kernel is None:
         T, push = _step_arrays(_vandermonde(roots), f, forcing, problem.ks)
     else:
-        T, push = kernel(roots[:-1], roots[1:]), -forcing[:, None] * _spread(roots[1:])
+        T, push = kernel(roots[:-1], roots[1:]), -forcing[:, None] * problem.power_spread
     return _Chained(Y0, T, push, _branch_sum)
+
+
+def _explicit3_chain(problem: _Problem) -> _Chained:
+    return _power_gauge_chain(problem, partial(_explicit3_matrix, spread=problem.power_spread))
 
 
 def _companion_method_chain(problem: _Problem) -> _Chained:
@@ -341,9 +350,7 @@ _METHODS = {
     "direct": _Method(),
     "companion": _Method(_companion_method_chain),
     "gauge-exact": _Method(_power_gauge_chain, "all"),
-    "explicit3": _Method(
-        partial(_power_gauge_chain, kernel=_explicit3_matrix), "all", order3_only=True
-    ),
+    "explicit3": _Method(_explicit3_chain, "all", order3_only=True),
     "wkb3": _Method(partial(_power_gauge_chain, kernel=_wkb3_gain), "all", order3_only=True),
     "riccati": _Method(_riccati_chain, "first", seeded=True, homogeneous_only=True),
     "wkb-general": _Method(partial(_power_gauge_chain, kernel=_wkb_gain), "all"),

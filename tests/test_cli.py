@@ -671,6 +671,64 @@ def test_json_tables_are_pinned(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
+def test_csv_tables_are_pinned(tmp_path):
+    # the CSV tables of the README scenario with every method, in --format
+    # csv: the digests guard their bytes across changes to the writer
+    data = readme_scenario(tmp_path / "out", 0.01)
+    data["methods"] = list(METHOD_NAMES)
+    scenario = write_scenario(tmp_path / "readme.json", data)
+    assert main(["run", scenario, "--format", "csv"]) == EXIT_OK
+    digests = {
+        "trajectory": "06bb19d2f75010586ca12ff6e13ba2be8415da89e2494d1eec9d15ec2076eeef",
+        "errors": "c8b302cc4a237a5c54329706407cbe509043fb0b0fcb707cee73b62e6d040817",
+        "sweep": "afc1ef5353ecef8c53ed904910662c89f548878080d49156186dd0af17a9bf6e",
+    }
+    for name, digest in digests.items():
+        data = (tmp_path / "out" / f"readme_{name}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+class TestParserCache:
+    """One parser per process: each call parses only its own options, and
+    the subcommands still look up the batch at call time."""
+
+    def test_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_options_do_not_carry_over(self, tmp_path, monkeypatch):
+        outdir = tmp_path / "out"
+        scenario = write_scenario(tmp_path / "sw.json", sweep_scenario(outdir))
+        batches = []
+
+        def recording(specs, *args):
+            batches.append(len(specs))
+            return compare_batch(specs, *args)
+
+        def written(argv):
+            assert main(argv) == EXIT_OK
+            names = sorted(path.name for path in outdir.iterdir())
+            for path in outdir.iterdir():
+                path.unlink()
+            return names
+
+        compare_batch = cli._compare_batch
+        monkeypatch.setattr(cli, "_compare_batch", recording)
+        assert written(["sweep", scenario, "--epsilons", "0.1", "0.2"]) == ["sw_sweep.csv"]
+        assert main(["sweep", scenario]) == EXIT_OK
+        epsilons = [row[0] for row in read_csv(outdir / "sw_sweep.csv")[1]]
+        assert epsilons == ["0.02", "0.01", "0.0050000000000000001"]
+        (outdir / "sw_sweep.csv").unlink()
+        tables = ["sw_errors", "sw_resolved", "sw_sweep", "sw_trajectory"]
+        json_names = [f"{name}.json" for name in tables]
+        assert written(["run", scenario, "--format", "json"]) == json_names
+        csv_names = [f"{name}.json" if name == "sw_resolved" else f"{name}.csv" for name in tables]
+        assert written(["run", scenario]) == csv_names
+        # the two sweeps, then the two runs with their sweep, all through the patch
+        assert batches == [2, 3, 4, 4]
+        args = cli.build_parser().parse_args(["sweep", scenario])
+        assert args.epsilons is None and args.format is None
+
+
 def readme_window(outdir, k_start, horizon):
     data = sweep_scenario(outdir)
     data.pop("epsilon_sweep")

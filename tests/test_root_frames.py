@@ -8,6 +8,7 @@ same error class at the same index.
 """
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -322,3 +323,37 @@ class TestFailures:
         assert outcome(lambda: root_frames(cubic123_spec, -1, 5)) == (IndexOutOfWindow, -1)
         assert outcome(lambda: root_frames(cubic123_spec, 5, 20)) == (IndexOutOfWindow, 14)
         assert outcome(lambda: root_frames(cubic123_spec, 20, 25)) == (IndexOutOfWindow, 20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=orders,
+    rows=st.integers(min_value=1, max_value=300),
+    seed=seeds,
+    tie=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_labels_compose_the_step_matches(n, rows, seed, tie):
+    # random permutations stand in for the step matches; the labelled roots
+    # must be those of the step-by-step composition, cut after a tie's row
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    f = np.stack([np.poly(row)[::-1][:-1] for row in z])
+    matches = rng.permuted(np.tile(np.arange(n), (rows - 1, 1)), axis=1)
+    error = None
+    if tie is not None:
+        matches = matches[: int(tie * (rows - 1))]
+        error = AmbiguousTracking("tie", k=None)
+    with patch.object(roots_module, "_matches", lambda z, k_lo: (matches, error)):
+        (got, _), got_error = roots_module._labelled(
+            f, z.copy(), np.zeros(rows, dtype=bool), 5, 1e-6, rows, None
+        )
+    stop = len(matches) + 1
+    labels = np.empty((stop, n), dtype=int)
+    labels[0] = np.lexsort((z[0].imag, z[0].real))
+    for t in range(1, stop):
+        labels[t] = matches[t - 1][labels[t - 1]]
+    want = np.array([z[t][labels[t]] for t in range(stop)])
+    np.testing.assert_array_equal(got, want)
+    assert (got_error is None) == (tie is None)
+    if tie is not None:
+        assert got_error.k == 5 + stop
