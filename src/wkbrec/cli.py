@@ -58,7 +58,8 @@ _ARRAY_DTYPES = {np.dtype(np.int64), np.dtype(float), np.dtype(complex)}
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``text`` to ``path`` through a temporary file in its directory,
+    which must exist."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
@@ -182,6 +183,7 @@ def _execute(args, sweep_only: bool) -> int:
         ]
     if sweep is not None:
         files.append((f"{stem}_sweep.{fmt}", lambda: _sweep_table(sweep, fmt)))
+    outdir.mkdir(parents=True, exist_ok=True)
     for name, text in files:
         _atomic_write(outdir / name, text())
     # ``run`` names its two tables, ``sweep`` its one
@@ -233,7 +235,9 @@ def _cmd_generate(args) -> int:
     scenario_from_dict(data)
     text = _json_text(data)
     if args.out:
-        _atomic_write(Path(args.out), text)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

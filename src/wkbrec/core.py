@@ -280,18 +280,6 @@ class ScalarTrajectory:
         return complex(self.values[i])
 
 
-def eval_coeffs(spec: RecurrenceSpec, k: int) -> np.ndarray:
-    """Evaluate ``(f[0](k), ..., f[N-1](k), f(k))`` at one index.
-
-    Deterministic; raises :class:`IndexOutOfWindow` outside the declared
-    window (models are total functions over the window only, out-of-window
-    access is an error rather than extrapolation).  A read-only row of
-    ``spec.table``.
-    """
-    spec.check_window(k)
-    return spec.table[k - spec.k_start]
-
-
 def _initial(initial, order: int) -> np.ndarray:
     """The initial values ``y[k_start] .. y[k_start + N - 1]`` as a complex
     vector, which must have length N."""
@@ -352,7 +340,7 @@ def _companion(f: np.ndarray) -> np.ndarray:
 
 def companion_matrix(spec: RecurrenceSpec, k: int) -> np.ndarray:
     """N x N one-step matrix: first row ``(-f[N-1], ..., -f[0])``, ones below."""
-    return _companion(eval_coeffs(spec, k)[:-1])
+    return _companion(spec.coeff_array(k))
 
 
 def _chain(Y0: np.ndarray, T, push) -> np.ndarray:

@@ -70,9 +70,6 @@ class GaugeSet:
         """``|det|`` of the stacked matrix relative to its Hadamard bound."""
         return float(_admissibility(self.stacked()))
 
-    def is_admissible(self) -> bool:
-        return self.admissibility() > ADMISSIBILITY_THRESHOLD
-
 
 @dataclass(frozen=True, eq=False)
 class ComponentVector:
@@ -87,16 +84,6 @@ class ComponentVector:
     @property
     def order(self) -> int:
         return len(self.y)
-
-
-@dataclass(frozen=True, eq=False)
-class StepMatrices:
-    """The matrices of one step: M, H, the folded last row of H, and T."""
-
-    M: np.ndarray
-    H: np.ndarray
-    A_row: np.ndarray
-    T: np.ndarray
 
 
 def _admissibility(a: np.ndarray) -> np.ndarray:
@@ -239,14 +226,6 @@ def transfer_matrix(gauge_now: GaugeSet, gauge_next: GaugeSet, coeffs) -> np.nda
     m = build_M(gauge_next)
     h = build_H(gauge_now, coeffs)
     return _residual_checked_solve(m[None], h[None], [gauge_next.k])[0]
-
-
-def step_matrices(gauge_now: GaugeSet, gauge_next: GaugeSet, coeffs) -> StepMatrices:
-    """Bundle M, H, the folded row and T for one step (diagnostics helper)."""
-    m = build_M(gauge_next)
-    h = build_H(gauge_now, coeffs)
-    t = transfer_matrix(gauge_now, gauge_next, coeffs)
-    return StepMatrices(M=m, H=h, A_row=h[-1].copy(), T=t)
 
 
 def propagate(spec: RecurrenceSpec, initial, gauges) -> tuple[np.ndarray, list[ComponentVector]]:

@@ -78,14 +78,6 @@ class RootFrame:
         return len(self.roots)
 
 
-@dataclass(frozen=True, eq=False)
-class SigmaTable:
-    """``entries[i, j]``: degree-j elementary symmetric polynomial of the
-    roots with branch i left out; column 0 is identically one."""
-
-    entries: np.ndarray
-
-
 def _descending(coeffs: np.ndarray) -> np.ndarray:
     """Monic coefficients in descending degree, (1, f[N-1], ..., f[0]), per row."""
     lead = np.ones(coeffs.shape[:-1] + (1,), dtype=complex)
@@ -311,12 +303,6 @@ def sigma_excluding(roots, i: int) -> np.ndarray:
     for r in np.delete(roots, i):
         sig[1:] = sig[1:] + r * sig[:-1]
     return sig
-
-
-def sigma_table(roots) -> SigmaTable:
-    roots = np.asarray(roots, dtype=complex)
-    entries = np.vstack([sigma_excluding(roots, i) for i in range(len(roots))])
-    return SigmaTable(entries=entries)
 
 
 def vandermonde_inverse(frame: RootFrame) -> np.ndarray:

@@ -178,10 +178,8 @@ def riccati_forward(
 class RiccatiBranch:
     """One decoupling branch: the first-row gauge values ``p[k]``.
 
-    The second gauge row is determined by construction,
-    ``p2[k] = p[k] * p[k+1]``, so it is exposed as a property rather than
-    stored.
-    """
+    The further gauge rows are running products of these ratios, which
+    :func:`riccati_gauge` forms."""
 
     p1: np.ndarray
     k_start: int
@@ -189,10 +187,6 @@ class RiccatiBranch:
 
     def __post_init__(self):
         object.__setattr__(self, "p1", np.array(self.p1, dtype=complex))
-
-    @property
-    def p2(self) -> np.ndarray:
-        return self.p1[:-1] * self.p1[1:]
 
     @property
     def k_last(self) -> int:

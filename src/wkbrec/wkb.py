@@ -328,12 +328,12 @@ def _run_chains(chained: list[_Chained]) -> list[np.ndarray]:
 class _Method(NamedTuple):
     """One row of the method table: ``setup(problem)`` gives the method's
     chain inputs from a :class:`_Problem` (None for ``direct``, which
-    reports the oracle itself), the root rows it reads (``"all"``,
-    ``"first"`` or None), whether it reads riccati's seed recursions, and
-    its restrictions."""
+    reports the oracle itself), whether it reads every row of the root
+    table, whether it reads riccati's seed recursions (which start from root
+    row 0), and its restrictions."""
 
     setup: Callable[[_Problem], _Chained] | None = None
-    roots: str | None = None
+    roots: bool = False
     seeded: bool = False
     order3_only: bool = False
     homogeneous_only: bool = False
@@ -349,11 +349,11 @@ class _Method(NamedTuple):
 _METHODS = {
     "direct": _Method(),
     "companion": _Method(_companion_method_chain),
-    "gauge-exact": _Method(_power_gauge_chain, "all"),
-    "explicit3": _Method(_explicit3_chain, "all", order3_only=True),
-    "wkb3": _Method(partial(_power_gauge_chain, kernel=_wkb3_gain), "all", order3_only=True),
-    "riccati": _Method(_riccati_chain, "first", seeded=True, homogeneous_only=True),
-    "wkb-general": _Method(partial(_power_gauge_chain, kernel=_wkb_gain), "all"),
+    "gauge-exact": _Method(_power_gauge_chain, True),
+    "explicit3": _Method(_explicit3_chain, True, order3_only=True),
+    "wkb3": _Method(partial(_power_gauge_chain, kernel=_wkb3_gain), True, order3_only=True),
+    "riccati": _Method(_riccati_chain, seeded=True, homogeneous_only=True),
+    "wkb-general": _Method(partial(_power_gauge_chain, kernel=_wkb_gain), True),
 }
 METHOD_NAMES = tuple(_METHODS)
 
@@ -468,13 +468,13 @@ def _outcome(call, *args):
 
 def _root_pass(problems: list[_Problem], ordered, tol: float) -> None:
     """Give each problem the root rows its methods read, from one pass: all
-    rows ``k_start .. k_start + H`` if a method reads them all (the whole
-    table is then checked for separation once, which only those methods
-    need), else row 0 if riccati runs, else none."""
-    readers = {_METHODS[name].roots for name in ordered}
-    if not readers & {"all", "first"}:
+    rows ``k_start .. k_start + H`` if a method reads them all (each table
+    that passed is then checked for separation once; a failure keeps row 0),
+    else row 0 if a method reads riccati's seeds, else none."""
+    readers = [_METHODS[name] for name in ordered]
+    if not any(m.roots or m.seeded for m in readers):
         return
-    last = problems[0].spec.horizon if "all" in readers else 0
+    last = problems[0].spec.horizon if any(m.roots for m in readers) else 0
     spans = [(p.spec, p.spec.k_start, p.spec.k_start + last) for p in problems]
     for p, ((roots, _), error) in zip(problems, _root_tables(spans, tol)):
         p.roots, p.root_error = roots, error

@@ -542,6 +542,34 @@ class TestGenerate:
         assert a.read_text() == b.read_text()
 
 
+class TestOutputDirectory:
+    """The output directory is made once, before the first file is written."""
+
+    def test_run_with_a_sweep_makes_its_directory_once(self, tmp_path, monkeypatch):
+        outdir = tmp_path / "missing" / "nested"
+        scenario = write_scenario(tmp_path / "readme.json", readme_scenario(outdir, 0.01))
+        made = []
+
+        def recording(path, mode=0o777, parents=False, exist_ok=False):
+            made.append(path)
+            os.makedirs(path, mode, exist_ok=exist_ok)
+
+        monkeypatch.setattr(Path, "mkdir", recording)
+        assert main(["run", scenario]) == EXIT_OK
+        assert made == [outdir]
+        assert sorted(path.name for path in outdir.iterdir()) == [
+            "readme_errors.csv",
+            "readme_resolved.json",
+            "readme_sweep.csv",
+            "readme_trajectory.csv",
+        ]
+
+    def test_generate_makes_the_parent_of_its_output(self, tmp_path):
+        out = tmp_path / "missing" / "nested" / "gen.json"
+        assert main(["generate", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        assert main(["validate", str(out)]) == EXIT_OK
+
+
 def long_readme_scenario(outdir):
     # the README family grows like 3**k and leaves double range at k=649
     # of a 2000-step horizon

@@ -18,7 +18,6 @@ from wkbrec import (
     companion_propagate,
     compare_methods,
     direct_solve,
-    eval_coeffs,
 )
 from wkbrec.wkb import METHOD_NAMES
 from conftest import complex_array, constant_spec, sin_family
@@ -60,18 +59,22 @@ class TestCoefficientModels:
             with pytest.raises(IndexOutOfWindow, match=r"covers \[2, 5\]"):
                 model.sample(lo, hi)
 
-    def test_eval_coeffs_vector(self):
+    def test_coeff_array_and_forcing_value(self):
         spec = constant_spec([-6, 11, -6], horizon=5, forcing=2.0)
-        assert_allclose(eval_coeffs(spec, 1), [-6, 11, -6, 2.0])
+        assert_allclose(spec.coeff_array(1), [-6, 11, -6])
+        assert spec.forcing_value(1) == 2.0
 
-    def test_eval_coeffs_outside_window(self):
+    def test_coeff_array_outside_window(self):
         spec = constant_spec([-1, -1], horizon=5)
         with pytest.raises(IndexOutOfWindow):
-            eval_coeffs(spec, 100)
+            spec.coeff_array(100)
+        with pytest.raises(IndexOutOfWindow):
+            spec.forcing_value(100)
 
-    def test_eval_coeffs_deterministic(self):
-        spec = constant_spec([-6, 11, -6], horizon=5)
-        assert np.array_equal(eval_coeffs(spec, 2), eval_coeffs(spec, 2))
+    def test_coeff_array_deterministic(self):
+        spec = constant_spec([-6, 11, -6], horizon=5, forcing=0.5j)
+        assert np.array_equal(spec.coeff_array(2), spec.coeff_array(2))
+        assert spec.forcing_value(2) == spec.forcing_value(2)
 
 
 class TestSpecValidation:

@@ -15,9 +15,9 @@ from wkbrec import (
     propagate,
     reconstruct,
     step,
-    step_matrices,
     transfer_matrix,
 )
+from wkbrec.decomposition import ADMISSIBILITY_THRESHOLD
 from conftest import complex_array, constant_spec, sin_family
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -60,7 +60,7 @@ class TestBuildM:
         assert 0 < ratio <= 1
         # scaling a column's gauge entries must not change the verdict much
         scaled = GaugeSet(k=0, g=[[1, 2, 3000], [1, 4, 9e6]])
-        assert scaled.is_admissible()
+        assert scaled.admissibility() > ADMISSIBILITY_THRESHOLD
         singular = GaugeSet(k=0, g=[[1, 1, 3], [2, 2, 9]])
         assert singular.admissibility() < 1e-15
 
@@ -211,13 +211,13 @@ class TestTransferMatrix:
         gauge0 = random_admissible_gauge(rng, 3, 0)
         gauge1 = random_admissible_gauge(rng, 3, 1)
         coeffs = complex_array(rng, 3)
-        bundle = step_matrices(gauge0, gauge1, coeffs)
-        assert_allclose(bundle.M[0], np.ones(3))
-        assert_allclose(bundle.M[1:], gauge1.g)
-        assert_allclose(bundle.H[:2], gauge0.g)
-        assert_allclose(bundle.A_row, bundle.H[-1])
-        scale = np.max(np.abs(bundle.H))
-        assert np.max(np.abs(bundle.M @ bundle.T - bundle.H)) < 1e-10 * scale
+        m, h = build_M(gauge1), build_H(gauge0, coeffs)
+        t = transfer_matrix(gauge0, gauge1, coeffs)
+        assert_allclose(m[0], np.ones(3))
+        assert_allclose(m[1:], gauge1.g)
+        assert_allclose(h[:2], gauge0.g)
+        assert_allclose(h[-1], -(coeffs[1:] @ gauge0.g + coeffs[0]))
+        assert np.max(np.abs(m @ t - h)) < 1e-10 * np.max(np.abs(h))
 
 
 class TestExactnessProperties:

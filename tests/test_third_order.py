@@ -299,7 +299,9 @@ class TestProductSolution:
     def test_ratio_branch_p2_consistency(self):
         spec = sin_family(epsilon=0.01, horizon=20)
         branch = oracle_ratio_branch(direct_solve(spec, [1.0, 1.3, 1.9]))
-        assert_allclose(branch.p2, branch.p1[:-1] * branch.p1[1:], rtol=1e-12)
+        p = branch.p1
+        rows = [riccati_gauge([branch] * 3, k).g[1, 0] for k in range(len(p) - 1)]
+        assert_allclose(rows, p[:-1] * p[1:], rtol=1e-12)
 
     def test_breakdown_on_zero_solution_value(self):
         spec = constant_spec([-1, 0, 0], horizon=6)

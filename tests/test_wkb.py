@@ -1,5 +1,7 @@
+import hashlib
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from numpy.testing import assert_allclose
 
 from wkbrec import wkb
 from wkbrec import (
+    AmbiguousTracking,
     ComponentVector,
+    DegenerateRoots,
     NoConvergence,
     RecurrenceSpec,
     RiccatiBranch,
@@ -36,6 +40,8 @@ from wkbrec import (
 )
 from wkbrec.roots import DEFAULT_ROOT_TOL, _root_table
 from conftest import complex_array, constant_spec, sin_family
+from test_array_drivers import squeeze_spec
+from test_root_frames import near_tie_spec
 
 
 def frame(roots, k=0):
@@ -369,6 +375,37 @@ class TestSharedFrames:
         assert frame_calls == [[(5, 5)]]
 
 
+RICCATI_DIGESTS = {
+    "near-tie": "e5efe93a5e7b248ac4228f94cd28605018b01582116e32009adea5ed82ab1d24",
+    "squeeze": "54502c880aa41f30532a02e93bd60d089ae7740cfea3a90199acef0acd912884",
+    "readme": "0b9e5308dd9c8e337837d191bad259f0a1d3546400ec803ea11d4aa12a58c584",
+}
+
+
+@pytest.mark.parametrize(
+    "make, failure",
+    [
+        (near_tie_spec, AmbiguousTracking),
+        (partial(squeeze_spec, 3, 4, 1.5), DegenerateRoots),
+        (partial(sin_family, 0.01, 200), None),
+    ],
+    ids=list(RICCATI_DIGESTS),
+)
+def test_riccati_values_are_pinned(request, make, failure):
+    """riccati reads root row 0 only: its values keep their bits, and a root
+    pass failing at k=4 (a tie; a degenerate pair from there on) is charged
+    to a method reading every row, not to riccati."""
+    spec, init = make(), np.array([1 + 0.3j, 0.5 - 0.2j, 0.8 + 0.1j])
+    values = compare_methods(spec, init, ["riccati"]).values["riccati"]
+    digest = RICCATI_DIGESTS[request.node.callspec.id]
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+    if failure is not None:
+        with pytest.raises(failure) as info:
+            compare_methods(spec, init, ["riccati", "gauge-exact"])
+        assert info.value.message.startswith("method 'gauge-exact': ")
+        assert info.value.k == 4
+
+
 class TestOneRootTable:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_list_view_and_run_path_see_the_same_numbers(self, n, rng):
@@ -385,7 +422,7 @@ class TestOneRootTable:
         names = [
             name
             for name, method in wkb._METHODS.items()
-            if method.roots == "all" and not wkb.check_methods(spec, [name])
+            if method.roots and not wkb.check_methods(spec, [name])
         ]
         assert len(names) == (4 if n == 3 else 2)
         init = complex_array(rng, n)
