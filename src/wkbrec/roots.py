@@ -8,12 +8,13 @@ has N complex roots.  :func:`_root_tables` finds them for index windows of
 several problems in one batched pass, as labelled ``(W, N)`` arrays per
 window (:func:`_root_table` is the pass over one window and
 :func:`root_frames` its list of frames): the eigenvalues of the stacked
-companion matrices,
-polished by simultaneous Aberth-Ehrlich sweeps until every root meets the
-residual bound of :func:`characteristic_roots`.  Branch labels are then
-carried along the window by matching each unordered root set to the one
-before it (a certified nearest-root match, or the exact search over all
-permutations when the certificate fails) and composing those matches.
+companion matrices, polished by simultaneous Aberth-Ehrlich sweeps until
+every root meets the residual bound of :func:`characteristic_roots`, each
+distinct row once in a pass over several windows (row k at 2 eps is row 2k
+at eps).  Branch labels are then carried along the window by matching each
+unordered root set to the one before it (a certified nearest-root match, or
+the exact search over all permutations when the certificate fails) and
+composing those matches.
 
 The module also builds the power gauge ``g[m,n,k] = rho[n,k]**m`` whose
 stacked matrix is the Vandermonde matrix of the roots, and provides that
@@ -426,10 +427,11 @@ def _labelled(f, z, unsettled, k_lo: int, tol: float, stop: int, error):
 def _root_tables(spans, tol: float) -> list:
     """The batched pass of the module docstring for several spans ``(spec,
     k_lo, k_hi)`` of one order: one ``eigvals`` call and one
-    :func:`_polish` over the rows of all of them.  Each row stops on its own
-    data, so a span's roots do not depend on the spans beside it.  The rest
-    is per span: the fallback, the residual check, the branch matches and
-    the labels.
+    :func:`_polish` over the distinct rows (by their bytes) of all of them.
+    Each row stops on its own data, so a span's roots do not depend on the
+    spans beside it, and rows of equal bytes share their roots and unsettled
+    flag.  The rest is per span: the fallback, the residual check, the
+    branch matches and the labels.
 
     Returns, per span, the labelled ``(roots, residuals)`` ``(W, N)`` of the
     rows before its lowest failing index, and the error of that index (None
@@ -454,7 +456,14 @@ def _root_tables(spans, tol: float) -> list:
             error = RecurrenceError("non-finite characteristic coefficient")
         parts.append((f, stop, error))
     rows = np.concatenate([f[:stop] for f, stop, _ in parts])
-    z, unsettled = _polish(rows, np.linalg.eigvals(_companion(rows)))
+    distinct, spread = rows, slice(None)
+    # a sweep's problems share rows; a lone span's rarely repeat, so skip the sort
+    if len(spans) > 1:
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+        distinct, spread = np.unique(keys, return_inverse=True)
+        distinct = distinct.view(complex).reshape(-1, rows.shape[1])
+    z, unsettled = _polish(distinct, np.linalg.eigvals(_companion(distinct)))
+    z, unsettled = z[spread], unsettled[spread]
     tables, lo = [], 0
     for (f, stop, error), (_, k_lo, _) in zip(parts, spans):
         z_span, unsettled_span = z[lo : lo + stop], unsettled[lo : lo + stop]

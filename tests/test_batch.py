@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wkbrec import (
@@ -28,11 +28,12 @@ from wkbrec import (
     direct_solve,
     epsilon_sweep,
 )
+from wkbrec import roots as roots_module
 from wkbrec import wkb
 from wkbrec.core import _recur
 from wkbrec.roots import DEFAULT_ROOT_TOL, _root_table, _root_tables
 from wkbrec.wkb import _compare_batch
-from conftest import sin_family
+from conftest import constant_spec, sin_family
 from test_array_drivers import drifting_spec, squeeze_spec
 from test_root_frames import near_tie_spec
 
@@ -126,6 +127,89 @@ def test_a_tie_keeps_the_rows_before_it():
     want = _root_table(spec, 0, 3, DEFAULT_ROOT_TOL)
     assert roots.tobytes() == want[0].tobytes()
     assert residuals.tobytes() == want[1].tobytes()
+
+
+def shared_row_specs(eps):
+    """Order-3 problems whose coefficient rows repeat within and across
+    them: the README family at ``eps`` and at ``2 * eps`` (row k of the
+    second is row 2k of the first, bit for bit), a copy of the first with a
+    NaN at k=9, constant roots 1 and 1 +- sqrt(3) with ``f[2] = -3`` and with
+    ``f[2] = -3 - 0.0j`` (an equal row of other bytes, whose roots differ in
+    their bits), and the near tie at k=4."""
+    sin = sin_family(eps, 60)
+    f = sin.table[:, :-1].copy()
+    f[9, 1] = np.nan
+    nan = replace(sin, coeffs=tuple(Tabulated(values=f[:, j], k_first=0) for j in range(3)))
+    return {
+        "eps": sin,
+        "2eps": sin_family(2 * eps, 60),
+        "non-finite": nan,
+        "constant": constant_spec([2.0, 0.0, -3.0], 60),
+        "negative zero": constant_spec([2.0, 0.0, complex(-3.0, -0.0)], 60),
+        "tie": near_tie_spec(),
+    }
+
+
+def assert_span_alone(span, got):
+    """``got``, a span's result of ``_root_tables``, is that of
+    ``_root_table`` on the span alone: its bytes, or its error type and k."""
+    (roots, residuals), error = got
+    try:
+        want_roots, want_residuals = _root_table(*span, DEFAULT_ROOT_TOL)
+    except RecurrenceError as want:
+        assert (type(error), error.k, str(error)) == (type(want), want.k, str(want))
+        return
+    assert error is None
+    assert roots.tobytes() == want_roots.tobytes()
+    assert residuals.tobytes() == want_residuals.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eps=st.floats(0.002, 0.05),
+    picks=st.lists(
+        st.tuples(
+            st.sampled_from(["eps", "2eps", "non-finite", "constant", "negative zero", "tie"]),
+            st.integers(0, 4),
+            st.integers(0, 40),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+)
+@example(eps=0.01, picks=[("eps", 0, 40), ("2eps", 0, 20), ("eps", 0, 40), ("constant", 0, 9)])
+@example(eps=0.01, picks=[("constant", 0, 9), ("negative zero", 0, 9), ("non-finite", 0, 40)])
+@example(eps=0.01, picks=[("tie", 0, 8), ("eps", 2, 30), ("tie", 0, 8), ("non-finite", 4, 20)])
+def test_spans_sharing_rows_equal_their_pass_alone(eps, picks):
+    # each distinct row is rooted once and its roots are spread to every
+    # row holding its bytes; a span ends past its window's last index
+    specs = shared_row_specs(eps)
+    spans = []
+    for kind, lo, width in picks:
+        spec = specs[kind]
+        spans.append((spec, lo, min(lo + width, spec.window[1])))
+    for span, got in zip(spans, _root_tables(spans, DEFAULT_ROOT_TOL)):
+        assert_span_alone(span, got)
+
+
+def test_shared_rows_that_fall_back_equal_their_pass_alone(monkeypatch):
+    # zero start values leave every distinct row unsettled, so every row of
+    # every span is solved by characteristic_roots
+    specs = shared_row_specs(0.01)
+    spans = [(specs["eps"], 0, 40), (specs["2eps"], 0, 20), (specs["eps"], 0, 40)]
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))
+    scalar, solved = roots_module.characteristic_roots, []
+
+    def counted(f, tol):
+        solved.append(f)
+        return scalar(f, tol=tol)
+
+    monkeypatch.setattr(roots_module, "characteristic_roots", counted)
+    batch = _root_tables(spans, DEFAULT_ROOT_TOL)
+    assert len(solved) == 41 + 21 + 41
+    for span, got in zip(spans, batch):
+        assert got[1] is None
+        assert_span_alone(span, got)
 
 
 def test_degenerate_roots_past_row_0_are_not_riccatis():
@@ -259,3 +343,16 @@ def test_sweep_is_the_batch_of_its_problems():
             assert sweep.terminal_errors[name][i] == table.terminal_error(name)
     empty = epsilon_sweep(spec, INITIAL, ["wkb-general"], [])
     assert empty.epsilons.shape == (0,) and empty.terminal_errors["wkb-general"].shape == (0,)
+
+
+def test_constant_problems_root_their_one_distinct_row(monkeypatch):
+    # two problems of the same constant coefficients at other window starts:
+    # two tables, two spans and one distinct row for eigvals
+    specs = [constant_spec([2.0, 0.0, -3.0], 20, k_start=k) for k in (0, 5)]
+    names = [name for name in wkb.METHOD_NAMES if not wkb.check_methods(specs[0], [name])]
+    eigvals, rows = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or eigvals(a))
+    tables = _compare_batch(specs, INITIAL, names)
+    assert rows == [1]
+    for spec, table in zip(specs, tables):
+        assert_same_table(table, compare_methods(spec, INITIAL, names))

@@ -464,17 +464,21 @@ class TestSweepReuse:
     def test_run_with_all_methods_and_a_sweep_is_one_batch(self, tmp_path, monkeypatch):
         # the benchmark's order3-run-sweep shape: every method at eps=0.01
         # and the sweep 0.02, 0.01, 0.005 make three problems, with three
-        # riccati seed recursions each; one eigvals call, one polish, one
-        # recursion loop and one chain serve them all
+        # riccati seed recursions each; one eigvals call and one polish over
+        # the distinct rows of their tables, one recursion loop and one chain
+        # serve them all
         data = readme_scenario(tmp_path, 0.01)
         data["methods"] = list(wkbrec.wkb.METHOD_NAMES)
         scenario = write_scenario(tmp_path / "readme.json", data)
+        problems = wkbrec.load_scenario(scenario).sweep_problems
+        tables = np.concatenate([p.table[: p.horizon + 1, :-1] for p in problems])
+        rows = len(np.unique(tables, axis=0))
+        assert rows == 401
         passes, loops, chains = self.count_batches(monkeypatch)
         loops += self.count_calls(monkeypatch, wkbrec.core, "_recur", lambda t, i: len(i))
         polish = self.count_calls(monkeypatch, wkbrec.roots, "_polish", lambda f, z: len(f))
         eigvals = self.count_calls(monkeypatch, np.linalg, "eigvals", len)
         assert main(["run", scenario]) == EXIT_OK
-        rows = 3 * (data["horizon"] + 1)
         assert (passes, loops, chains) == ([3], [12], [18])
         assert (eigvals, polish) == ([rows], [rows])
 
