@@ -7,11 +7,11 @@ At each index k the frozen-coefficient characteristic polynomial
 has N complex roots.  :func:`_root_tables` finds them for index windows of
 several problems in one batched pass, as labelled ``(W, N)`` arrays per
 window (:func:`_root_table` is the pass over one window and
-:func:`root_frames` its list of frames): the eigenvalues of the stacked
-companion matrices, polished by simultaneous Aberth-Ehrlich sweeps until
-every root meets the residual bound of :func:`characteristic_roots`, each
-distinct row once in a pass over several windows (row k at 2 eps is row 2k
-at eps).  Branch labels are then carried along the window by matching each
+:func:`root_frames` its list of frames).  It solves and checks each distinct
+row once (row k at 2 eps is row 2k at eps): simultaneous Aberth-Ehrlich
+sweeps polish the eigenvalues of the companion matrices, or else the cold
+start of :func:`characteristic_roots`, and every root must then meet its
+residual bound.  Branch labels are carried along the window by matching each
 unordered root set to the one before it (a certified nearest-root match, or
 the exact search over all permutations when the certificate fails) and
 composing those matches.
@@ -21,7 +21,7 @@ stacked matrix is the Vandermonde matrix of the roots, and provides that
 matrix's closed-form inverse through elementary symmetric polynomials.
 :func:`characteristic_roots` and :func:`track_branches` are the single-index
 forms of the root and tracking steps; they share the sweep, the residual
-bound and the tie check with the batched pass.
+check and the tie check with the batched pass.
 """
 
 from __future__ import annotations
@@ -156,43 +156,47 @@ def _prepare_seed(z: np.ndarray, radius: float) -> np.ndarray:
     return z
 
 
-def _residual_failure(f: np.ndarray, z: np.ndarray, tol: float):
-    """Residuals of the roots ``z`` of each row of ``f``, and the first row
-    breaking the bound as ``(row, NoConvergence)``, or None if none does.
-
-    The bound is ``|p(root)| <= tol * (1 + sum|f|) * max(1, |root|)**N``;
-    a ``tol`` that is not positive and finite raises :class:`ValueError`.
-    """
+def _check_tolerance(tol: float) -> None:
     if not 0 < tol < np.inf:
         raise ValueError(f"root tolerance must be positive and finite, got {tol!r}")
+
+
+def _residual_check(f: np.ndarray, z: np.ndarray, unsettled: np.ndarray, tol: float):
+    """Residuals of the roots ``z`` of each row of ``f``, and per row its
+    :class:`NoConvergence` (None if it passes): its polish did not settle
+    (``unsettled``), else a root breaks the bound of
+    :func:`characteristic_roots` (naming the branch of the worst one)."""
     residuals = np.abs(_polyval(_descending(f), z))
     scale = (1.0 + np.abs(f).sum(axis=-1, keepdims=True)) * np.maximum(
         1.0, np.abs(z)
     ) ** f.shape[-1]
-    bad = (residuals > tol * scale).any(axis=-1)
-    if not bad.any():
-        return residuals, None
-    row = int(np.argmax(bad))
-    worst = int(np.argmax(residuals[row] / scale[row]))
-    error = NoConvergence(
-        f"root residual {residuals[row, worst]:.3e} above tolerance", branch=worst
-    )
-    return residuals, (row, error)
+    failures = np.full(len(f), None)
+    for row in np.flatnonzero(unsettled | (residuals > tol * scale).any(axis=-1)):
+        if unsettled[row]:
+            failures[row] = NoConvergence(f"no convergence within {ABERTH_MAX_ITER} iterations")
+        else:
+            worst = int(np.argmax(residuals[row] / scale[row]))
+            message = f"root residual {residuals[row, worst]:.3e} above tolerance"
+            failures[row] = NoConvergence(message, branch=worst)
+    return residuals, failures
+
+
+def _circle(f: np.ndarray) -> np.ndarray:
+    """Cold start values for the roots of each row of ``f``: N points on the
+    circle of radius ``1 + max|f|``, a bound on every root."""
+    n = f.shape[-1]
+    angles = 2.0 * np.pi * np.arange(n) / n + np.pi / (2.0 * n) + 0.3 / n
+    return (1.0 + np.abs(f).max(axis=-1, keepdims=True)) * np.exp(1j * angles)
 
 
 def characteristic_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed=None) -> np.ndarray:
     """All N roots of the monic characteristic polynomial, unordered.
 
-    ``coeffs`` are ``(f[0], ..., f[N-1])`` in ascending degree.  The roots
-    are found by the Aberth-Ehrlich sweeps of :func:`_polish`, initialised
-    on a circle of radius ``1 + max|f|`` (a bound on every root) or on
-    ``seed`` when warm starting from a neighbouring index.  Convergence
-    requires the largest update to drop below ``1e-13`` times that radius
-    within ``ABERTH_MAX_ITER`` sweeps, and every root must satisfy
-
-        |p(root)| <= tol * (1 + sum|f|) * max(1, |root|)**N
-
-    or :class:`NoConvergence` is raised.
+    ``coeffs`` are ``(f[0], ..., f[N-1])`` in ascending degree.  The
+    Aberth-Ehrlich sweeps of :func:`_polish` start from :func:`_circle`, or
+    from ``seed`` when warm starting from a neighbouring index.  Unless they
+    settle and every root meets ``|p(root)| <= tol * (1 + sum|f|) *
+    max(1, |root|)**N``, :class:`NoConvergence` is raised.
     """
     f = np.asarray(coeffs, dtype=complex)
     n = len(f)
@@ -200,21 +204,19 @@ def characteristic_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed=None) -> np
         raise ValueError("need at least one coefficient")
     if f[0] == 0:
         raise ZeroCoefficient("zero constant term implies a zero root")
-    radius = 1.0 + float(np.max(np.abs(f)))
     if seed is None:
-        angles = 2.0 * np.pi * np.arange(n) / n + np.pi / (2.0 * n) + 0.3 / n
-        z = radius * np.exp(1j * angles)
+        z = _circle(f)
     else:
         z = np.asarray(seed, dtype=complex)
         if z.shape != (n,):
             raise ValueError(f"seed must supply {n} start values")
-        z = _prepare_seed(z, radius)
+        z = _prepare_seed(z, 1.0 + float(np.max(np.abs(f))))
     z, unsettled = _polish(f[None], z[None])
-    if unsettled[0]:
-        raise NoConvergence(f"no convergence within {ABERTH_MAX_ITER} iterations")
-    _, failure = _residual_failure(f[None], z, tol)
+    if not unsettled[0]:  # a polish that did not settle fails before the tolerance is read
+        _check_tolerance(tol)
+    _, [failure] = _residual_check(f[None], z, unsettled, tol)
     if failure is not None:
-        raise failure[1]
+        raise failure
     return z[0]
 
 
@@ -395,21 +397,12 @@ def _matches(roots: np.ndarray, k_lo: int) -> tuple[np.ndarray, AmbiguousTrackin
     return nearest, None
 
 
-def _labelled(f, z, unsettled, k_lo: int, tol: float, stop: int, error):
-    """The rest of :func:`_root_tables` for one span: the labelled roots and
-    residuals of the rows of ``f`` (from index ``k_lo``) before the lowest
-    failing one, and that row's error with its index attached (None if no
-    row fails).  ``z`` and ``unsettled`` are the polish of the rows before
-    ``stop``, the first non-finite row (``error``) or the end of ``f``."""
-    for row in np.flatnonzero(unsettled):
-        try:
-            z[row] = characteristic_roots(f[row], tol=tol)
-        except RecurrenceError as exc:
-            stop, error = int(row), exc
-            break
-    residuals, bad_residual = _residual_failure(f[:stop], z[:stop], tol)
-    if bad_residual is not None:
-        stop, error = bad_residual
+def _labelled(z, residuals, k_lo: int, stop: int, error):
+    """The rest of :func:`_root_tables` for one span: the roots ``z`` and
+    ``residuals`` of its rows (from index ``k_lo``) before ``stop``, its
+    lowest failing row (``error``; None if no row fails), labelled, and
+    that error with its index attached.  A tracking tie before ``stop``
+    cuts the rows there instead and is the error."""
     matches, tie = _matches(z[:stop], k_lo)
     if tie is not None:
         stop, error = len(matches) + 1, tie
@@ -426,12 +419,12 @@ def _labelled(f, z, unsettled, k_lo: int, tol: float, stop: int, error):
 
 def _root_tables(spans, tol: float) -> list:
     """The batched pass of the module docstring for several spans ``(spec,
-    k_lo, k_hi)`` of one order: one ``eigvals`` call and one
-    :func:`_polish` over the distinct rows (by their bytes) of all of them.
-    Each row stops on its own data, so a span's roots do not depend on the
-    spans beside it, and rows of equal bytes share their roots and unsettled
-    flag.  The rest is per span: the fallback, the residual check, the
-    branch matches and the labels.
+    k_lo, k_hi)`` of one order.  The distinct rows (by their bytes) of all
+    spans are solved and checked once: one ``eigvals`` call and one
+    :func:`_polish`, a second polish from :func:`_circle` of the rows that
+    did not settle, and one :func:`_residual_check`.  Each row stops on its
+    own data, so a span's roots do not depend on the spans beside it, and
+    rows of equal bytes share roots and verdict.  Spans only label them.
 
     Returns, per span, the labelled ``(roots, residuals)`` ``(W, N)`` of the
     rows before its lowest failing index, and the error of that index (None
@@ -456,6 +449,10 @@ def _root_tables(spans, tol: float) -> list:
             error = RecurrenceError("non-finite characteristic coefficient")
         parts.append((f, stop, error))
     rows = np.concatenate([f[:stop] for f, stop, _ in parts])
+    try:
+        _check_tolerance(tol)
+    except ValueError as exc:  # the error of every span with rows
+        return [((rows[:0], rows[:0].real), exc if len(f) else error) for f, _, error in parts]
     distinct, spread = rows, slice(None)
     # a sweep's problems share rows; a lone span's rarely repeat, so skip the sort
     if len(spans) > 1:
@@ -463,19 +460,19 @@ def _root_tables(spans, tol: float) -> list:
         distinct, spread = np.unique(keys, return_inverse=True)
         distinct = distinct.view(complex).reshape(-1, rows.shape[1])
     z, unsettled = _polish(distinct, np.linalg.eigvals(_companion(distinct)))
-    z, unsettled = z[spread], unsettled[spread]
+    restart = np.flatnonzero(unsettled)
+    if restart.size:  # rows are independent: these get the bits of characteristic_roots
+        z[restart], unsettled[restart] = _polish(distinct[restart], _circle(distinct[restart]))
+    residuals, failures = _residual_check(distinct, z, unsettled, tol)
+    z, residuals, failures = z[spread], residuals[spread], failures[spread]
     tables, lo = [], 0
-    for (f, stop, error), (_, k_lo, _) in zip(parts, spans):
-        z_span, unsettled_span = z[lo : lo + stop], unsettled[lo : lo + stop]
+    for (_, stop, error), (_, k_lo, _) in zip(parts, spans):
+        span = slice(lo, lo + stop)
         lo += stop
-        no_rows = z_span[:0], np.empty((0, z.shape[1]))
-        if not len(f):  # an empty range, or one outside the window
-            tables.append((no_rows, error))
-            continue
-        try:
-            tables.append(_labelled(f, z_span, unsettled_span, k_lo, tol, stop, error))
-        except ValueError as exc:  # the tolerance
-            tables.append((no_rows, exc))
+        failed = np.flatnonzero(np.not_equal(failures[span], None))
+        if failed.size:
+            stop, error = int(failed[0]), failures[span][failed[0]]
+        tables.append(_labelled(z[span], residuals[span], k_lo, stop, error))
     return tables
 
 
@@ -486,7 +483,7 @@ def _root_table(spec: RecurrenceSpec, k_lo: int, k_hi: int, tol: float):
 
     The first index outside the window raises :class:`IndexOutOfWindow`;
     an empty range gives ``(0, N)`` arrays.  Rows whose polish does not
-    settle are solved by :func:`characteristic_roots` instead.  Row 0 is
+    settle are polished again from :func:`_circle`.  Row 0 is
     labelled by ascending real, then imaginary part.  A failure raises the
     error of the lowest failing index with that index attached: a
     non-finite coefficient row, a root residual above ``tol``

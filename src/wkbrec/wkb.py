@@ -468,9 +468,9 @@ def _outcome(call, *args):
 
 def _root_pass(problems: list[_Problem], ordered, tol: float) -> None:
     """Give each problem the root rows its methods read, from one pass: all
-    rows ``k_start .. k_start + H`` if a method reads them all (each table
-    that passed is then checked for separation once; a failure keeps row 0),
-    else row 0 if a method reads riccati's seeds, else none."""
+    rows ``k_start .. k_start + H`` if a method reads them all (the rows
+    returned, before any failing one, are then checked for separation; a
+    failure among them wins and keeps row 0), else row 0 if riccati's seeds are read."""
     readers = [_METHODS[name] for name in ordered]
     if not any(m.roots or m.seeded for m in readers):
         return
@@ -478,7 +478,7 @@ def _root_pass(problems: list[_Problem], ordered, tol: float) -> None:
     spans = [(p.spec, p.spec.k_start, p.spec.k_start + last) for p in problems]
     for p, ((roots, _), error) in zip(problems, _root_tables(spans, tol)):
         p.roots, p.root_error = roots, error
-        if last and error is None:
+        if last:
             try:
                 _check_separation(roots, p.ks)
             except DegenerateRoots as exc:

@@ -21,6 +21,7 @@ from wkbrec import (
     Breakdown,
     Constant,
     DegenerateRoots,
+    NoConvergence,
     RecurrenceError,
     RecurrenceSpec,
     Tabulated,
@@ -35,7 +36,7 @@ from wkbrec.roots import DEFAULT_ROOT_TOL, _root_table, _root_tables
 from wkbrec.wkb import _compare_batch
 from conftest import constant_spec, sin_family
 from test_array_drivers import drifting_spec, squeeze_spec
-from test_root_frames import near_tie_spec
+from test_root_frames import double_root_then_tie_paths, near_tie_spec, spec_from_roots
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -193,23 +194,73 @@ def test_spans_sharing_rows_equal_their_pass_alone(eps, picks):
 
 
 def test_shared_rows_that_fall_back_equal_their_pass_alone(monkeypatch):
-    # zero start values leave every distinct row unsettled, so every row of
-    # every span is solved by characteristic_roots
+    # zero start values leave every distinct row unsettled, so each of the
+    # 41 distinct rows of the 103 span rows is polished again from the circle
+    # start, once, and gets the roots of characteristic_roots on that row
     specs = shared_row_specs(0.01)
     spans = [(specs["eps"], 0, 40), (specs["2eps"], 0, 20), (specs["eps"], 0, 40)]
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))
-    scalar, solved = roots_module.characteristic_roots, []
+    polish, polished = roots_module._polish, []
 
-    def counted(f, tol):
-        solved.append(f)
-        return scalar(f, tol=tol)
+    def counted(f, z):
+        polished.append(len(f))
+        return polish(f, z)
 
-    monkeypatch.setattr(roots_module, "characteristic_roots", counted)
+    monkeypatch.setattr(roots_module, "_polish", counted)
     batch = _root_tables(spans, DEFAULT_ROOT_TOL)
-    assert len(solved) == 41 + 21 + 41
+    assert polished == [41, 41]
     for span, got in zip(spans, batch):
         assert got[1] is None
         assert_span_alone(span, got)
+        spec, k_lo, _ = span
+        for k, row in enumerate(got[0][0], start=k_lo):
+            alone = roots_module.characteristic_roots(spec.coeff_array(k))
+            assert np.sort(row).tobytes() == np.sort(alone).tobytes()
+
+
+def test_residual_failures_of_shared_rows_equal_their_pass_alone():
+    # at this tolerance rows fail the residual bound at various indices; the
+    # verdict of each distinct row reaches every span holding its bytes
+    specs, tol = shared_row_specs(0.01), 1e-17
+    spans = [(specs["2eps"], 0, 20), (specs["eps"], 0, 40), (specs["constant"], 0, 9)]
+    spans += [(specs["eps"], 3, 30), (specs["eps"], 2, 2)]
+    errors = []
+    for span, ((roots, residuals), error) in zip(spans, _root_tables(spans, tol)):
+        try:
+            want = _root_table(*span, tol)
+        except NoConvergence as exc:
+            assert (type(error), error.k, str(error)) == (type(exc), exc.k, str(exc))
+            assert roots.tobytes() == _root_table(span[0], span[1], exc.k - 1, tol)[0].tobytes()
+            errors.append(error.k)
+            continue
+        assert error is None
+        assert (roots.tobytes(), residuals.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+        errors.append(None)
+    assert errors == [1, 1, None, 3, 2]
+
+
+@pytest.mark.parametrize("unsettled", [False, True])
+def test_the_pass_never_calls_the_scalar_solver(monkeypatch, unsettled):
+    # the batched pass solves and checks every row itself, whether or not
+    # its rows settle from the eigenvalues
+    specs = shared_row_specs(0.01)
+    spans = [(specs[kind], 0, min(40, specs[kind].window[1])) for kind in specs]
+    if unsettled:
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))
+    want = _root_tables(spans, DEFAULT_ROOT_TOL)
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("characteristic_roots called")
+
+    monkeypatch.setattr(roots_module, "characteristic_roots", scalar)
+    for ((roots, residuals), error), (want_rows, want_error) in zip(
+        _root_tables(spans, DEFAULT_ROOT_TOL), want
+    ):
+        assert roots.tobytes() == want_rows[0].tobytes()
+        assert residuals.tobytes() == want_rows[1].tobytes()
+        assert str(error) == str(want_error)
+    errors = [None if error is None else (type(error), error.k) for _, error in want]
+    assert errors == [None, None, (RecurrenceError, 9), None, None, (AmbiguousTracking, 4)]
 
 
 def test_degenerate_roots_past_row_0_are_not_riccatis():
@@ -222,6 +273,22 @@ def test_degenerate_roots_past_row_0_are_not_riccatis():
         compare_methods(spec, initial, ["riccati", "wkb-general", "gauge-exact"])
     assert info.value.k == 4
     assert info.value.message.startswith("method 'wkb-general': ")
+
+
+def test_degenerate_roots_before_a_failing_row_are_reported():
+    # the root pass fails at k=10 on a tie, and the rows before it hold a
+    # double root at k=5: the lowest failing index is the one reported
+    spec = spec_from_roots(double_root_then_tie_paths())
+    [((roots, _), error)] = _root_tables([(spec, 0, spec.horizon)], DEFAULT_ROOT_TOL)
+    assert (type(error), error.k, len(roots)) == (AmbiguousTracking, 10, 10)
+    compare_methods(spec, np.ones(4), ["riccati"])
+    for methods in (["gauge-exact"], ["riccati", "gauge-exact"]):
+        with pytest.raises(DegenerateRoots) as info:
+            compare_methods(spec, np.ones(4), methods)
+        assert (info.value.k, info.value.message) == (
+            5,
+            "method 'gauge-exact': root separation below threshold",
+        )
 
 
 def assert_same_table(got, want):

@@ -13,6 +13,7 @@ import wkbrec
 from wkbrec import cli
 from wkbrec.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
 from wkbrec.wkb import METHOD_NAMES
+from test_root_frames import double_root_then_tie_paths, spec_from_roots
 
 
 def write_scenario(path, data):
@@ -235,6 +236,83 @@ class TestValidate:
         path.write_text("{")
         assert main(["validate", str(path)]) == EXIT_SCHEMA
         assert "JSON" in capsys.readouterr().out
+
+
+_MODEL = {"variant": "constant", "value": "-1"}
+
+
+class TestValidatorDiagnostics:
+    """Each diagnostic of the scenario validator, alone and exactly, as
+    ``validate`` lists it on stdout."""
+
+    @pytest.mark.parametrize(
+        "changes, diagnostic",
+        [
+            pytest.param(
+                {"coefficients": [5, _MODEL]},
+                "coefficients[0]: expected an object, got int",
+                id="model-not-an-object",
+            ),
+            pytest.param(
+                {"coefficients": [{**_MODEL, "scale": 2}, _MODEL]},
+                "coefficients[0]: unknown key 'scale' for variant 'constant'",
+                id="unknown-model-key",
+            ),
+            pytest.param(
+                {"coefficients": [_MODEL, {"variant": "constant"}]},
+                "coefficients[1]: missing field 'value'",
+                id="missing-field",
+            ),
+            pytest.param(
+                {"coefficients": [{"variant": "cubic"}, _MODEL]},
+                "coefficients[0]: unknown variant 'cubic' "
+                "(expected constant, tabulated, polynomial or sinusoidal)",
+                id="unknown-variant",
+            ),
+            pytest.param([1, 2], "scenario must be a JSON object", id="not-an-object"),
+            pytest.param({"order": "2"}, "'order' must be an integer", id="order"),
+            pytest.param({"k_start": 1.5}, "'k_start' must be an integer", id="k_start"),
+            pytest.param({"horizon": 0}, "'horizon' must be a positive integer", id="horizon"),
+            pytest.param(
+                {"coefficients": {"f0": _MODEL}},
+                "'coefficients' must be a list of model objects",
+                id="coefficients-not-a-list",
+            ),
+            pytest.param(
+                {"coefficients": [_MODEL] * 3},
+                "'coefficients' must list 2 models (f[0] first), got 3",
+                id="model-count",
+            ),
+            pytest.param(
+                {"initial": ["0", "1", "1"]},
+                "'initial' must supply 2 values, got 3",
+                id="initial-length",
+            ),
+            pytest.param(
+                {"output": "out"},
+                "'output' must be an object with 'path' and 'format'",
+                id="output-not-an-object",
+            ),
+            pytest.param(
+                {"output": {"path": 5, "format": "csv"}},
+                "'output.path' must be a string",
+                id="output-path",
+            ),
+            pytest.param(
+                {"output": {"path": ".", "format": "xml"}},
+                "'output.format' must be one of ('csv', 'json')",
+                id="output-format",
+            ),
+        ],
+    )
+    def test_each_diagnostic_is_listed(self, tmp_path, capsys, changes, diagnostic):
+        data = changes
+        if isinstance(changes, dict):
+            data = {**fibonacci_scenario(tmp_path), **changes}
+        assert wkbrec.validate_scenario_dict(data) == [diagnostic]
+        scenario = write_scenario(tmp_path / "bad.json", data)
+        assert main(["validate", scenario]) == EXIT_SCHEMA
+        assert capsys.readouterr() == (diagnostic + "\n", "")
 
 
 class TestNonFiniteInput:
@@ -464,9 +542,9 @@ class TestSweepReuse:
     def test_run_with_all_methods_and_a_sweep_is_one_batch(self, tmp_path, monkeypatch):
         # the benchmark's order3-run-sweep shape: every method at eps=0.01
         # and the sweep 0.02, 0.01, 0.005 make three problems, with three
-        # riccati seed recursions each; one eigvals call and one polish over
-        # the distinct rows of their tables, one recursion loop and one chain
-        # serve them all
+        # riccati seed recursions each; one eigvals call, one polish and one
+        # residual check over the distinct rows of their tables, one recursion
+        # loop and one chain serve them all
         data = readme_scenario(tmp_path, 0.01)
         data["methods"] = list(wkbrec.wkb.METHOD_NAMES)
         scenario = write_scenario(tmp_path / "readme.json", data)
@@ -478,9 +556,12 @@ class TestSweepReuse:
         loops += self.count_calls(monkeypatch, wkbrec.core, "_recur", lambda t, i: len(i))
         polish = self.count_calls(monkeypatch, wkbrec.roots, "_polish", lambda f, z: len(f))
         eigvals = self.count_calls(monkeypatch, np.linalg, "eigvals", len)
+        checks = self.count_calls(
+            monkeypatch, wkbrec.roots, "_residual_check", lambda f, z, unsettled, tol: len(f)
+        )
         assert main(["run", scenario]) == EXIT_OK
         assert (passes, loops, chains) == ([3], [12], [18])
-        assert (eigvals, polish) == ([rows], [rows])
+        assert (eigvals, polish, checks) == ([rows], [rows], [rows])
 
 
 class TestFailureOrder:
@@ -532,6 +613,17 @@ class TestGenerate:
         write_scenario(out, data)
         assert main(["run", str(out)]) == EXIT_OK
 
+    def test_stdout_holds_the_bytes_out_writes(self, tmp_path, capsys):
+        out, printed = tmp_path / "gen.json", tmp_path / "printed.json"
+        assert main(["generate", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+        assert main(["generate", "--seed", "3"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed.write_bytes(captured.out.encode())
+        assert printed.read_bytes() == out.read_bytes()
+        assert main(["validate", str(printed)]) == EXIT_OK
+
     def test_rejected_draw_is_reported_on_stderr(self, capsys):
         assert main(["generate", "--order", "9"]) == EXIT_SCHEMA
         captured = capsys.readouterr()
@@ -572,6 +664,19 @@ class TestOutputDirectory:
         out = tmp_path / "missing" / "nested" / "gen.json"
         assert main(["generate", "--seed", "1", "--out", str(out)]) == EXIT_OK
         assert main(["validate", str(out)]) == EXIT_OK
+
+
+class TestAtomicWrite:
+    def test_a_failed_replace_leaves_no_temporary_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        outdir = tmp_path / "out"
+        scenario = write_scenario(tmp_path / "fib.json", fibonacci_scenario(outdir))
+        assert main(["run", scenario]) == EXIT_IO
+        assert capsys.readouterr() == ("", "i/o error: replace refused\n")
+        assert list(outdir.iterdir()) == []
 
 
 def long_readme_scenario(outdir):
@@ -825,6 +930,35 @@ class TestFailureReport:
             "root separation below threshold at index k=0\n"
         )
         assert self.invoke(capsys, ["run", scenario]) == (EXIT_NUMERICAL, "", line)
+
+    def test_degenerate_roots_before_a_failing_row_are_reported(self, tmp_path, capsys):
+        # the roots tie at k=10, and the rows before hold a double root at k=5
+        spec = spec_from_roots(double_root_then_tie_paths())
+        data = fibonacci_scenario(tmp_path / "out")
+        data.update(
+            order=4,
+            horizon=spec.horizon,
+            coefficients=[
+                {
+                    "variant": "tabulated",
+                    "values": [[v.real, v.imag] for v in m.values.tolist()],
+                    "k_first": 0,
+                }
+                for m in spec.coeffs
+            ],
+            initial=["1"] * 4,
+            methods=["riccati", "gauge-exact"],
+        )
+        scenario = write_scenario(tmp_path / "tie.json", data)
+        line = (
+            "numerical breakdown: method 'gauge-exact': "
+            "root separation below threshold at index k=5\n"
+        )
+        assert self.invoke(capsys, ["run", scenario]) == (EXIT_NUMERICAL, "", line)
+        assert not (tmp_path / "out").exists()
+        data["methods"] = ["riccati"]
+        scenario = write_scenario(tmp_path / "tie.json", data)
+        assert self.invoke(capsys, ["run", scenario])[::2] == (EXIT_OK, "")
 
     def test_root_residual_above_tolerance_is_one_line(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "sw.json", sweep_scenario(tmp_path / "out"))

@@ -86,6 +86,17 @@ def near_tie_spec():
     return spec_from_roots([before] * 4 + [after] * 5)
 
 
+def double_root_then_tie_paths():
+    """Order-4 root paths over k = 0..19: the pair (0.95, 1.05) is an exact
+    double root 1 at k=5, and the pair (2.5, 3.5) turns into 3 +- 0.5j at
+    k=10, where the two ways to continue it tie exactly."""
+    paths = []
+    for k in range(20):
+        pair = [1.0, 1.0] if k == 5 else [0.95, 1.05]
+        paths.append(pair + ([3 + 0.5j, 3 - 0.5j] if k >= 10 else [2.5, 3.5]))
+    return paths
+
+
 def base_roots(rng, n):
     # real parts at least 0.4 apart, so the first frame's label order is
     # decided far above rounding
@@ -284,21 +295,23 @@ class TestFailures:
                 call()
 
     def test_failed_fallback_names_its_index(self, monkeypatch):
-        # every row falls back to the scalar solver, which fails from the
-        # fourth row on; the rows before it are still labelled first
+        # every row is polished again from the circle start, and that second
+        # polish fails from the fourth row on; the rows before it are still
+        # labelled first
         spec = sin_family(epsilon=0.02, horizon=20, k_start=5)
-        scalar = roots_module.characteristic_roots
-        calls = []
+        polish, calls = roots_module._polish, []
 
-        def failing(f, tol):
-            calls.append(f)
-            if len(calls) > 3:
-                raise NoConvergence("no convergence within 200 iterations")
-            return scalar(f, tol=tol)
+        def failing(f, z):
+            z, unsettled = polish(f, z)
+            calls.append(len(f))
+            if len(calls) == 2:
+                unsettled[3:] = True
+            return z, unsettled
 
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))
-        monkeypatch.setattr(roots_module, "characteristic_roots", failing)
+        monkeypatch.setattr(roots_module, "_polish", failing)
         assert outcome(lambda: root_frames(spec)) == (NoConvergence, 8)
+        assert calls == [21, 21]
 
     def test_unsettled_rows_fall_back_to_scalar_solver(self, monkeypatch):
         # coincident start values make every batched update non-finite
@@ -337,16 +350,14 @@ def test_labels_compose_the_step_matches(n, rows, seed, tie):
     # must be those of the step-by-step composition, cut after a tie's row
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    f = np.stack([np.poly(row)[::-1][:-1] for row in z])
+    residuals = rng.random((rows, n))
     matches = rng.permuted(np.tile(np.arange(n), (rows - 1, 1)), axis=1)
     error = None
     if tie is not None:
         matches = matches[: int(tie * (rows - 1))]
         error = AmbiguousTracking("tie", k=None)
     with patch.object(roots_module, "_matches", lambda z, k_lo: (matches, error)):
-        (got, _), got_error = roots_module._labelled(
-            f, z.copy(), np.zeros(rows, dtype=bool), 5, 1e-6, rows, None
-        )
+        (got, got_residuals), got_error = roots_module._labelled(z, residuals, 5, rows, None)
     stop = len(matches) + 1
     labels = np.empty((stop, n), dtype=int)
     labels[0] = np.lexsort((z[0].imag, z[0].real))
@@ -354,6 +365,7 @@ def test_labels_compose_the_step_matches(n, rows, seed, tie):
         labels[t] = matches[t - 1][labels[t - 1]]
     want = np.array([z[t][labels[t]] for t in range(stop)])
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_residuals, [residuals[t][labels[t]] for t in range(stop)])
     assert (got_error is None) == (tie is None)
     if tie is not None:
         assert got_error.k == 5 + stop
