@@ -91,42 +91,79 @@ def _admissibility(a: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(a)) / np.prod(np.linalg.norm(a, axis=-2), axis=-1)
 
 
-def _check_admissible(a: np.ndarray, ks) -> None:
-    """Raise :class:`SingularGauge` at the lowest index of ``ks`` whose
-    stacked gauge matrix in ``a`` ``(W, N, N)`` is not admissible."""
+def _verdicts(bad: np.ndarray, ks, error) -> np.ndarray:
+    """Per group p (leading axis) of the mask ``bad`` ``(P, W)``: a
+    :class:`SingularGauge` with message ``error(p, t)`` at ``ks[p][t]``, t
+    its lowest flagged position, or None if nothing in the group is flagged."""
+    failures = np.full(len(bad), None)
+    for p in np.flatnonzero(bad.any(axis=1)):
+        t = int(np.argmax(bad[p]))
+        failures[p] = SingularGauge(error(p, t), k=int(ks[p][t]))
+    return failures
+
+
+def _first_failures(failures: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Per group, its failure in ``failures``, else its failure in ``later``."""
+    return np.where(np.equal(failures, None), later, failures)
+
+
+def _raised(failures: np.ndarray) -> None:
+    """Raise the failure of a group of one."""
+    [failure] = failures
+    if failure is not None:
+        raise failure
+
+
+def _check_admissible(a: np.ndarray, ks) -> np.ndarray:
+    """Per group of the stacked gauge matrices ``a`` ``(P, W, N, N)`` at
+    ``ks`` ``(P, W)``: the :class:`SingularGauge` of its lowest index whose
+    matrix is not admissible, or None."""
     adm = _admissibility(a)
-    bad = ~(adm > ADMISSIBILITY_THRESHOLD)
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise SingularGauge(
-            f"gauge admissibility {adm[t]:.3e} below threshold", k=int(ks[t])
-        )
+    return _verdicts(
+        ~(adm > ADMISSIBILITY_THRESHOLD),
+        ks,
+        lambda p, t: f"gauge admissibility {adm[p, t]:.3e} below threshold",
+    )
 
 
-def _residual_checked_solve(a: np.ndarray, b: np.ndarray, ks) -> np.ndarray:
-    """Solve ``a[t] x[t] = b[t]``, ``a`` ``(W, N, N)``, ``b`` ``(W, N[, M])``;
-    raise :class:`SingularGauge` at the lowest index of ``ks`` whose solve
-    fails or leaves a residual above ``SOLVE_RESIDUAL_TOL * max|b[t]|``."""
-    vector = b.ndim == 2
+def _residual_checked_solve(a: np.ndarray, b: np.ndarray, ks):
+    """Solve ``a[p, t] x[p, t] = b[p, t]``, ``a`` ``(P, W, N, N)``, ``b``
+    ``(P, W, N[, M])``.  Returns ``x`` and per group p the
+    :class:`SingularGauge` of its lowest index of ``ks[p]`` whose solve fails
+    or leaves a residual above ``SOLVE_RESIDUAL_TOL * max|b[p, t]|``, or None."""
+    vector = b.ndim == a.ndim - 1
     b = b[..., None] if vector else b
+    singular = np.zeros(a.shape[:2], dtype=bool)
     try:
         x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        if len(a) == 1:
-            raise SingularGauge(f"linear solve failed: {exc}", k=int(ks[0])) from exc
-        for t in range(len(a)):  # one system at a time: the lowest failure raises
-            _residual_checked_solve(a[t : t + 1], b[t : t + 1], ks[t : t + 1])
-        raise
-    residual = np.abs(a @ x - b).max(axis=(1, 2))
-    scale = np.maximum(np.abs(b).max(axis=(1, 2)), _TINY)
-    bad = residual > SOLVE_RESIDUAL_TOL * scale
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise SingularGauge(
-            f"solve residual {residual[t] / scale[t]:.3e} above {SOLVE_RESIDUAL_TOL:g}",
-            k=int(ks[t]),
-        )
-    return x[..., 0] if vector else x
+    except np.linalg.LinAlgError:  # one system at a time: each failing one is marked
+        x = np.zeros(b.shape, dtype=complex)
+        for i in np.ndindex(singular.shape):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError as exc:
+                singular[i], failed = True, f"linear solve failed: {exc}"
+    residual = np.abs(a @ x - b).max(axis=(-2, -1))
+    scale = np.maximum(np.abs(b).max(axis=(-2, -1)), _TINY)
+    failures = _verdicts(
+        singular | (residual > SOLVE_RESIDUAL_TOL * scale),
+        ks,
+        lambda p, t: failed
+        if singular[p, t]
+        else f"solve residual {residual[p, t] / scale[p, t]:.3e} above {SOLVE_RESIDUAL_TOL:g}",
+    )
+    return (x[..., 0] if vector else x), failures
+
+
+def _decompose(G: np.ndarray, b: np.ndarray, ks):
+    """:func:`decompose_initial` for P problems: the components ``(P, N)``
+    of the windows ``b`` ``(P, N)`` under the stacked gauge matrices ``G``
+    ``(P, N, N)`` at ``ks`` ``(P,)``, and per problem its admissibility
+    failure, else its solve failure, else None."""
+    ks = np.reshape(ks, (-1, 1))
+    failures = _check_admissible(G[:, None], ks)
+    y, solve_failures = _residual_checked_solve(G[:, None], b[:, None], ks)
+    return y[:, 0], _first_failures(failures, solve_failures)
 
 
 def _fold(g: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -136,24 +173,34 @@ def _fold(g: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _step_arrays(G: np.ndarray, f: np.ndarray, forcing: np.ndarray, ks):
-    """``T`` ``(H, N, N)`` and ``push`` ``(H, N)`` of the exact steps
-    ``Y[k+1] = T[k] Y[k] + push[k]``, from the stacked gauge matrices ``G``
-    ``(H+1, N, N)`` at ``ks`` and the coefficients ``f`` ``(H, N)`` and
-    forcing ``(H,)`` at ``ks[:-1]``: one solve ``M [T | c] = [H | e_N]``,
-    and ``push = -f(k) c``."""
+    """``T`` ``(P, H, N, N)`` and ``push`` ``(P, H, N)`` of the exact steps
+    ``Y[k+1] = T[k] Y[k] + push[k]`` of P problems, from their stacked gauge
+    matrices ``G`` ``(P, H+1, N, N)`` at ``ks`` ``(P, H+1)`` and their
+    coefficients ``f`` ``(P, H, N)`` and forcing ``(P, H)`` at ``ks[:, :-1]``:
+    one solve ``M [T | c] = [H | e_N]``, and ``push = -f(k) c``.  The third
+    result holds per problem its admissibility failure, else its solve
+    failure, else None."""
     n = G.shape[-1]
-    _check_admissible(G, ks)
-    e_n = np.zeros((len(f), n, 1), dtype=complex)
-    e_n[:, -1] = 1.0
-    rhs = np.concatenate([_fold(G[:-1, 1:], f), e_n], axis=-1)
-    x = _residual_checked_solve(G[1:], rhs, ks[1:])
-    return x[..., :n], -forcing[:, None] * x[..., n]
+    ks = np.asarray(ks)
+    failures = _check_admissible(G, ks)
+    e_n = np.zeros(f.shape + (1,), dtype=complex)
+    e_n[..., -1, :] = 1.0
+    rhs = np.concatenate([_fold(G[:, :-1, 1:], f), e_n], axis=-1)
+    x, solve_failures = _residual_checked_solve(G[:, 1:], rhs, ks[:, 1:])
+    return x[..., :n], -forcing[..., None] * x[..., n], _first_failures(failures, solve_failures)
+
+
+def _solve_one(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """``a x = b`` at index ``k`` by the residual-checked solve, raising its verdict."""
+    x, failures = _residual_checked_solve(a[None, None], b[None, None], [[k]])
+    _raised(failures)
+    return x[0, 0]
 
 
 def build_M(gauge_next: GaugeSet) -> np.ndarray:
     """Left-hand matrix of the step: ones row, then the gauge rows at k+1."""
     a = gauge_next.stacked()
-    _check_admissible(a[None], [gauge_next.k])
+    _raised(_check_admissible(a[None, None], [[gauge_next.k]]))
     return a
 
 
@@ -184,8 +231,7 @@ def decompose_initial(scalar_values, gauge: GaugeSet) -> ComponentVector:
     b = np.asarray(scalar_values, dtype=complex)
     if b.shape != (gauge.order,):
         raise ValueError(f"expected {gauge.order} scalar values, got {b.shape}")
-    y = _residual_checked_solve(build_M(gauge)[None], b[None], [gauge.k])
-    return ComponentVector(k=gauge.k, y=y[0])
+    return ComponentVector(k=gauge.k, y=_solve_one(build_M(gauge), b, gauge.k))
 
 
 def step(
@@ -208,8 +254,7 @@ def step(
     m = build_M(gauge_next)
     rhs = build_H(gauge_now, coeffs) @ Y.y
     rhs[-1] -= forcing
-    y = _residual_checked_solve(m[None], rhs[None], [Y.k + 1])
-    return ComponentVector(k=Y.k + 1, y=y[0])
+    return ComponentVector(k=Y.k + 1, y=_solve_one(m, rhs, Y.k + 1))
 
 
 def reconstruct(Y: ComponentVector) -> complex:
@@ -225,7 +270,7 @@ def transfer_matrix(gauge_now: GaugeSet, gauge_next: GaugeSet, coeffs) -> np.nda
     """
     m = build_M(gauge_next)
     h = build_H(gauge_now, coeffs)
-    return _residual_checked_solve(m[None], h[None], [gauge_next.k])[0]
+    return _solve_one(m, h, gauge_next.k)
 
 
 def propagate(spec: RecurrenceSpec, initial, gauges) -> tuple[np.ndarray, list[ComponentVector]]:

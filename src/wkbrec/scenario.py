@@ -162,6 +162,14 @@ _MODEL_KEYS = {
 }
 
 
+def _listed(entry: dict, key: str) -> list | tuple:
+    """``entry[key]``, which must be a list (or tuple) of complex numbers."""
+    value = entry[key]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"'{key}' must be a list of complex numbers, got {value!r}")
+    return value
+
+
 def _parse_model(entry, where: str, errors: list[str]) -> CoefficientModel | None:
     if not isinstance(entry, dict):
         errors.append(f"{where}: expected an object, got {type(entry).__name__}")
@@ -173,15 +181,18 @@ def _parse_model(entry, where: str, errors: list[str]) -> CoefficientModel | Non
         if variant == "constant":
             return Constant(parse_complex(entry["value"]))
         if variant == "tabulated":
-            values = _pair_array(entry["values"])
+            raw = _listed(entry, "values")
+            if not raw:
+                raise ValueError("'values' must not be empty")
+            values = _pair_array(raw)
             if values is None:
-                values = [parse_complex(v) for v in entry["values"]]
+                values = [parse_complex(v) for v in raw]
             k_first = entry["k_first"]
             if not isinstance(k_first, int) or isinstance(k_first, bool):
                 raise ValueError(f"'k_first' must be an integer, got {k_first!r}")
             return Tabulated(values=np.array(values), k_first=k_first)
         if variant == "polynomial":
-            coeffs = tuple(parse_complex(v) for v in entry["coeffs"])
+            coeffs = tuple(parse_complex(v) for v in _listed(entry, "coeffs"))
             epsilon = _parse_real(entry.get("epsilon", 0.0), "epsilon")
             return PolynomialInEpsK(coeffs=coeffs, epsilon=epsilon)
         if variant == "sinusoidal":

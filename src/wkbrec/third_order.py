@@ -199,26 +199,47 @@ class RiccatiBranch:
         return complex(self.p1[i])
 
 
+def _ratios(y: np.ndarray, k_starts, labels):
+    """Ratio sequences ``y[..., 1:] / y[..., :-1]`` of the solutions ``y``
+    ``(P, B, W)`` of P problems, those of branch b labelled ``labels[b]``
+    and starting at ``k_starts[p]``.  Returns the ratios of the problems
+    whose values do not vanish, and per problem the :class:`Breakdown` at the
+    first vanishing (or underflowed) value of its lowest such branch, or None."""
+    tiny = np.abs(y[..., :-1]) <= np.finfo(float).tiny
+    failures = np.full(len(y), None)
+    for p in np.flatnonzero(tiny.any(axis=(1, 2))):
+        b = int(np.argmax(tiny[p].any(axis=1)))
+        k = int(k_starts[p]) + int(np.argmax(tiny[p, b]))
+        failures[p] = Breakdown("solution value vanishes, ratio undefined", k=k, branch=labels[b])
+    ok = np.equal(failures, None)
+    return y[ok, :, 1:] / y[ok, :, :-1], failures
+
+
 def oracle_ratio_branch(traj: ScalarTrajectory, label: int = 0) -> RiccatiBranch:
     """Ratio sequence ``p[k] = y[k+1]/y[k]`` of a scalar solution.
 
     Exact zeros (or underflowed values) of the solution make the ratio
     singular; they raise :class:`Breakdown` instead of being masked.
     """
-    y = traj.values
-    tiny = np.abs(y[:-1]) <= np.finfo(float).tiny
-    if np.any(tiny):
-        k_bad = traj.k_start + int(np.argmax(tiny))
-        raise Breakdown("solution value vanishes, ratio undefined", k=k_bad, branch=label)
-    return RiccatiBranch(p1=y[1:] / y[:-1], k_start=traj.k_start, label=label)
+    ratios, [failure] = _ratios(traj.values[None, None], [traj.k_start], [label])
+    if failure is not None:
+        raise failure
+    return RiccatiBranch(p1=ratios[0, 0], k_start=traj.k_start, label=label)
+
+
+def _ratio_gauge(ratios: np.ndarray) -> np.ndarray:
+    """Gauge rows ``(..., N-1, N)`` from the first N-1 ratios ``(..., N,
+    N-1)`` of each of N branches: row m of branch n is the running product of
+    its ratios up to m, taken on Python complexes (object dtype), which
+    numpy's complex multiply may round otherwise."""
+    return np.cumprod(ratios.astype(object), axis=-1).swapaxes(-1, -2).astype(complex)
 
 
 def riccati_gauge(branches, k: int) -> GaugeSet:
     """Gauge rows at k from N branches: row m of branch n is ``y_n[k+m]/y_n[k]``,
-    the running product of the ratios ``p_n[k] .. p_n[k+m-1]``, taken on Python
-    complexes (object dtype), which numpy's complex multiply may round otherwise."""
+    the running product of the ratios ``p_n[k] .. p_n[k+m-1]``."""
     ratios = [[b.g1_at(k + j) for j in range(len(branches) - 1)] for b in branches]
-    return GaugeSet(k=k, g=np.cumprod(np.array(ratios, dtype=object), axis=1).T)
+    return GaugeSet(k=k, g=_ratio_gauge(np.array(ratios, dtype=complex)))
 
 
 def decoupled_step(

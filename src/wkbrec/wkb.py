@@ -21,8 +21,11 @@ restrictions are one row of the method table.
 
 Several problems of one order and horizon (a run and its sweep) are
 computed as one batch: one root pass over all their rows, one scalar
-recursion loop for their oracles and riccati's seed solutions, and one chain
-loop for all methods of all problems, one batched product per index.
+recursion loop for their oracles and riccati's seed solutions, each method
+set up for all problems at once (method by method, over arrays with a
+leading problem axis, each check giving one verdict per problem), one chain
+loop for all methods of all problems, one batched product per index, and
+one finiteness and relative-error check of all their tables.
 :func:`compare_methods` is the batch of one problem.
 """
 
@@ -30,20 +33,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import RecurrenceSpec, ScalarTrajectory, _chain, _companion_chain, _initial, _recur
-from .decomposition import (
-    ComponentVector,
-    GaugeSet,
-    _residual_checked_solve,
-    _step_arrays,
-    build_M,
-    decompose_initial,
-)
+from .core import RecurrenceSpec, _chain, _companion_chain, _initial, _recur
+from .decomposition import ComponentVector, _decompose, _solve_one, _step_arrays, build_M
 from .errors import Breakdown, DegenerateRoots, RecurrenceError
 from .roots import (
     DEFAULT_ROOT_TOL,
@@ -59,9 +55,9 @@ from .roots import (
 )
 from .third_order import (
     _explicit3_matrix,
+    _ratio_gauge,
+    _ratios,
     _wkb3_gain,
-    oracle_ratio_branch,
-    riccati_gauge,
 )
 
 _REL_ERROR_FLOOR = 1e-300
@@ -95,8 +91,7 @@ def exact_step_general(
     _frames_checked(Y, frame_now, frame_next)
     m = build_M(power_gauge(frame_next))
     rhs = (frame_now.roots * _vandermonde(frame_now.roots)) @ Y.y
-    y = _residual_checked_solve(m[None], rhs[None], [Y.k + 1])
-    return ComponentVector(k=Y.k + 1, y=y[0])
+    return ComponentVector(k=Y.k + 1, y=_solve_one(m, rhs, Y.k + 1))
 
 
 def _wkb_gain(r: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -176,9 +171,10 @@ class _Problem:
     rows of the batch's root pass before the first failing one, with that
     failure (None if every row it was asked for passed), the oracle and
     riccati's seed trajectories ``(N, H+N)`` from the batch's one recursion
-    loop, and the initial values split under the power gauge of row 0.
-    Then each method's chain inputs (None for ``direct``), up to the first
-    method whose setup fails, with that failure."""
+    loop, and, once a power-gauge method is set up, the initial values split
+    under the power gauge of row 0 (``start``) and the :func:`_spread` of
+    rows 1 .. H.  Then each method's chain inputs (None for ``direct``), up
+    to the first method whose setup fails, with that failure."""
 
     spec: RecurrenceSpec
     initial: np.ndarray
@@ -186,6 +182,8 @@ class _Problem:
     root_error: Exception | None = None
     oracle: np.ndarray | None = None
     seeds: np.ndarray | None = None
+    start: np.ndarray | None = None
+    spread: np.ndarray | None = None
     chained: dict[str, _Chained | None] = field(default_factory=dict)
     failure: tuple[str, Exception] | None = None
     values: dict[str, np.ndarray] = field(default_factory=dict)
@@ -203,41 +201,23 @@ class _Problem:
     def ks(self) -> np.ndarray:
         return np.arange(self.spec.k_start, self.spec.k_start + self.spec.horizon + 1)
 
-    def rows(self, count: int) -> np.ndarray:
-        """The root table, if its first ``count`` rows passed; else the
-        failure that stopped the root pass before them is raised."""
-        if len(self.roots) < count:
-            raise self.root_error
-        return self.roots
+    def rows_error(self, count: int) -> Exception | None:
+        """None if the first ``count`` root rows passed, else the failure
+        that stopped the root pass before them."""
+        return None if len(self.roots) >= count else self.root_error
 
-    @cached_property
-    def power_start(self) -> np.ndarray:
-        """The initial values decomposed under the power gauge of root row 0,
-        where every power-gauge method starts."""
-        gauge = GaugeSet(k=self.spec.k_start, g=_vandermonde(self.roots[0])[1:])
-        return decompose_initial(self.initial, gauge).y
-
-    @cached_property
-    def power_spread(self) -> np.ndarray:
-        """:func:`_spread` of root rows 1 .. H, shared by the power-gauge methods."""
-        return _spread(self.rows(self.spec.horizon + 1)[1:])
-
-    def set_up(self, ordered) -> None:
-        """Each method's chain inputs, in order, up to the first failing one."""
-        for name in ordered:
-            method = _METHODS[name]
-            try:
-                self.chained[name] = method.setup(self) if method.setup else None
-            except (RecurrenceError, ValueError) as exc:
-                self.failure = name, exc  # raised once the methods before it stepped
-                return
-
-    def table(self) -> ComparisonTable:
-        """The comparison table of the set-up methods' ``values``, once each
-        is finite; a setup failure is raised after them."""
-        ks, oracle, values = self.ks, self.oracle, self.values
-        for name, v in values.items():
-            _check_finite(v, ks, f"method '{name}'")
+    def table(self, rel_errors, bad, bad_errors, ordered) -> ComparisonTable:
+        """The comparison table of the set-up methods' values, from this
+        problem's rows of :func:`_tables`: the relative errors ``(methods,
+        H+1)`` of the methods ``ordered`` and the first non-finite position
+        (-1 if none) of the oracle and each method's values (``bad``) and of
+        each method's relative errors (``bad_errors``).  The first failing
+        check raises: a set-up method's values in order, the setup failure,
+        the oracle, a relative error."""
+        ks = self.ks
+        set_up = [(j, name) for j, name in enumerate(ordered) if name in self.values]
+        for j, name in set_up:
+            _check_finite_at(bad[1 + j], ks, f"method '{name}'")
         if self.failure is not None:
             name, exc = self.failure
             if isinstance(exc, RecurrenceError):
@@ -245,36 +225,105 @@ class _Problem:
                     f"method '{name}': {exc.message}", k=exc.k, branch=exc.branch
                 ) from exc
             raise exc
-        _check_finite(oracle, ks, "oracle (scalar recursion)")
-        rel_errors = {name: _relative_errors(v, oracle) for name, v in values.items()}
-        for name, errs in rel_errors.items():
-            _check_finite(errs, ks, f"method '{name}' relative error")
-        return ComparisonTable(k=ks, oracle=oracle, values=values, rel_errors=rel_errors)
+        _check_finite_at(bad[0], ks, "oracle (scalar recursion)")
+        for j, name in set_up:
+            _check_finite_at(bad_errors[j], ks, f"method '{name}' relative error")
+        rel = {name: rel_errors[j] for j, name in set_up}
+        return ComparisonTable(k=ks, oracle=self.oracle, values=self.values, rel_errors=rel)
+
+
+class _Stack(NamedTuple):
+    """The problems of a batch that method ``name`` is set up for, in batch
+    order; the arrays of a setup stack theirs along a leading problem axis."""
+
+    name: str
+    problems: list[_Problem]
+
+    def stacked(self, read) -> np.ndarray:
+        return np.stack([read(p) for p in self.problems])
+
+    def passing(self, failures, *arrays) -> tuple:
+        """This stack without the problems that have a failure in
+        ``failures`` (one per problem, None where it passes), each of them
+        charged with it, followed by ``arrays`` without their rows."""
+        keep = np.array([exc is None for exc in failures], dtype=bool)
+        if keep.all():  # the common case keeps the arrays uncopied
+            return (self, *arrays)
+        for p, exc in zip(self.problems, failures):
+            if exc is not None:
+                p.failure = self.name, exc
+        kept = [p for p, k in zip(self.problems, keep) if k]
+        return (self._replace(problems=kept), *(a[keep] for a in arrays))
 
 
 _branch_sum = partial(np.sum, axis=1)
 
 
-def _power_gauge_chain(problem: _Problem, kernel=None) -> _Chained:
-    """A power-gauge method over the ``(H+1, N)`` root table: ``kernel(r, R)``
-    gives the step matrices or diagonals from the roots at k and k+1 (the
-    forcing is spread by :func:`_spread`); no kernel means the exact step."""
-    spec = problem.spec
-    roots = problem.rows(spec.horizon + 1)
-    Y0 = problem.power_start
-    f, forcing = spec.table[: spec.horizon, :-1], spec.table[: spec.horizon, -1]
+def _power_ready(stack: _Stack) -> _Stack:
+    """The stack without the problems that fail before a power-gauge chain:
+    at root rows 0 .. H, or at the split of their initial values under the
+    power gauge of row 0, where every power-gauge method starts (made once
+    per batch, for all problems of the first such method)."""
+    stack = stack.passing([p.rows_error(p.spec.horizon + 1) for p in stack.problems])[0]
+    fresh = [p for p in stack.problems if p.start is None]
+    failures = {}
+    if fresh:
+        starts, errors = _decompose(
+            _vandermonde(np.stack([p.roots[0] for p in fresh])),
+            np.stack([p.initial for p in fresh]),
+            [p.spec.k_start for p in fresh],
+        )
+        for p, start, exc in zip(fresh, starts, errors):
+            p.start, failures[p] = start, exc
+    return stack.passing([failures.get(p) for p in stack.problems])[0]
+
+
+def _power_spread(stack: _Stack) -> np.ndarray:
+    """:func:`_spread` of root rows 1 .. H ``(P, H, N)``, shared by the
+    power-gauge kernels: made once per batch, for all problems of the first
+    kernel method."""
+    fresh = [p for p in stack.problems if p.spread is None]
+    if fresh:
+        for p, spread in zip(fresh, _spread(np.stack([p.roots[1:] for p in fresh]))):
+            p.spread = spread
+    return stack.stacked(lambda p: p.spread)
+
+
+def _power_gauge_chain(stack: _Stack, kernel=None):
+    """A power-gauge method over the ``(P, H+1, N)`` root tables of the
+    stack: ``kernel(r, R)`` gives the step matrices or diagonals from the
+    roots at k and k+1 (the forcing is spread by :func:`_spread`); no kernel
+    means the exact step.  Returns the stack that passed and its chain inputs."""
+    stack = _power_ready(stack)
+    if not stack.problems:
+        return stack, []
+    horizon = stack.problems[0].spec.horizon
+    roots = stack.stacked(lambda p: p.roots)
+    table = stack.stacked(lambda p: p.spec.table[:horizon])
+    f, forcing = table[..., :-1], table[..., -1]
+    starts = stack.stacked(lambda p: p.start)
     if kernel is None:
-        T, push = _step_arrays(_vandermonde(roots), f, forcing, problem.ks)
+        ks = stack.stacked(lambda p: p.ks)
+        T, push, failures = _step_arrays(_vandermonde(roots), f, forcing, ks)
+        stack, starts, T, push = stack.passing(failures, starts, T, push)
     else:
-        T, push = kernel(roots[:-1], roots[1:]), -forcing[:, None] * problem.power_spread
-    return _Chained(Y0, T, push, _branch_sum)
+        T = kernel(roots[:, :-1], roots[:, 1:])
+        push = -forcing[..., None] * _power_spread(stack)
+    return stack, [_Chained(*chain, _branch_sum) for chain in zip(starts, T, push)]
 
 
-def _explicit3_chain(problem: _Problem) -> _Chained:
-    return _power_gauge_chain(problem, partial(_explicit3_matrix, spread=problem.power_spread))
+def _explicit3_chain(stack: _Stack):
+    stack = _power_ready(stack)
+    if not stack.problems:
+        return stack, []
+    return _power_gauge_chain(stack, partial(_explicit3_matrix, spread=_power_spread(stack)))
 
 
-def _companion_method_chain(problem: _Problem) -> _Chained:
+def _companion_method_chain(stack: _Stack):
+    return stack, [_companion_one(p) for p in stack.problems]
+
+
+def _companion_one(problem: _Problem) -> _Chained:
     X0, T, push = _companion_chain(problem.spec, problem.initial)
     # the initial window, then the newest value of each state
     return _Chained(X0, T, push, lambda X: np.concatenate((X0[::-1], X[1:, 0]))[: len(X)])
@@ -286,19 +335,23 @@ def _riccati_seeds(roots: np.ndarray) -> np.ndarray:
     return _vandermonde(roots[0]).T
 
 
-def _riccati_chain(problem: _Problem) -> _Chained:
+def _riccati_chain(stack: _Stack):
     # The ratio sequences of the seeded solutions decouple the system, so each
     # component is multiplied by its branch ratio per step (as in product_solution).
-    spec = problem.spec
-    problem.rows(1)
-    branches = [
-        oracle_ratio_branch(ScalarTrajectory(values=y, k_start=spec.k_start), label=n)
-        for n, y in enumerate(problem.seeds)
-    ]
-    gauge0 = riccati_gauge(branches, spec.k_start)
-    Y0 = decompose_initial(problem.initial, gauge0)
-    gains = np.stack([b.p1[: spec.horizon] for b in branches], axis=1)
-    return _Chained(Y0.y, gains, np.zeros_like(gains), _branch_sum)
+    stack = stack.passing([p.rows_error(1) for p in stack.problems])[0]
+    if not stack.problems:
+        return stack, []
+    n, horizon = stack.problems[0].spec.order, stack.problems[0].spec.horizon
+    initial = stack.stacked(lambda p: p.initial)
+    k_starts = stack.stacked(lambda p: p.spec.k_start)
+    ratios, failures = _ratios(stack.stacked(lambda p: p.seeds), k_starts, range(n))
+    stack, initial, k_starts = stack.passing(failures, initial, k_starts)
+    ones = np.ones((len(ratios), 1, n), dtype=complex)
+    gauges = np.concatenate([ones, _ratio_gauge(ratios[..., : n - 1])], axis=1)
+    Y0, failures = _decompose(gauges, initial, k_starts)
+    stack, Y0, ratios = stack.passing(failures, Y0, ratios)
+    gains = ratios[..., :horizon].swapaxes(1, 2)
+    return stack, [_Chained(y, g, np.zeros_like(g), _branch_sum) for y, g in zip(Y0, gains)]
 
 
 def _recurse(problems: list[_Problem], seeded: bool) -> None:
@@ -317,6 +370,23 @@ def _recurse(problems: list[_Problem], seeded: bool) -> None:
         first += len(s)
 
 
+def _set_up(problems: list[_Problem], ordered) -> None:
+    """Each method's chain inputs for all problems at once, method by
+    method in the order ``ordered``; a problem stops at its first failing
+    method, which is charged with its failure."""
+    for name in ordered:
+        stack = _Stack(name, [p for p in problems if p.failure is None])
+        if not stack.problems:
+            return
+        setup = _METHODS[name].setup
+        if setup is None:
+            chained = [None] * len(stack.problems)
+        else:
+            stack, chained = setup(stack)
+        for p, c in zip(stack.problems, chained):
+            p.chained[name] = c
+
+
 def _run_chains(chained: list[_Chained]) -> list[np.ndarray]:
     """Values of each method, from one chain that steps them all."""
     states = _chain(
@@ -326,13 +396,14 @@ def _run_chains(chained: list[_Chained]) -> list[np.ndarray]:
 
 
 class _Method(NamedTuple):
-    """One row of the method table: ``setup(problem)`` gives the method's
-    chain inputs from a :class:`_Problem` (None for ``direct``, which
-    reports the oracle itself), whether it reads every row of the root
-    table, whether it reads riccati's seed recursions (which start from root
-    row 0), and its restrictions."""
+    """One row of the method table: ``setup(stack)`` gives the method's
+    chain inputs for a :class:`_Stack` of problems, with the stack of those
+    that passed (None for ``direct``, which reports the oracle itself),
+    whether it reads every row of the root table, whether it reads
+    riccati's seed recursions (which start from root row 0), and its
+    restrictions."""
 
-    setup: Callable[[_Problem], _Chained] | None = None
+    setup: Callable[[_Stack], tuple[_Stack, list[_Chained]]] | None = None
     roots: bool = False
     seeded: bool = False
     order3_only: bool = False
@@ -340,10 +411,13 @@ class _Method(NamedTuple):
 
     def driver(self, spec, initial, roots) -> np.ndarray:
         """The method's values on its own, from the root table ``roots``:
-        the chain with one member."""
+        the batch and the chain with one member."""
         problem = _Problem(spec, np.asarray(initial, dtype=complex), roots)
         _recurse([problem], self.seeded)
-        return _run_chains([self.setup(problem)])[0]
+        _, chained = self.setup(_Stack("", [problem]))
+        if problem.failure is not None:
+            raise problem.failure[1]
+        return _run_chains(chained)[0]
 
 
 _METHODS = {
@@ -358,12 +432,38 @@ _METHODS = {
 METHOD_NAMES = tuple(_METHODS)
 
 
+def _first(bad: np.ndarray) -> np.ndarray:
+    """Per row (last axis) of the mask ``bad``: its first flagged position, or -1."""
+    return np.where(bad.any(axis=-1), bad.argmax(axis=-1), -1)
+
+
+def _check_finite_at(t, ks: np.ndarray, what: str) -> None:
+    """Raise :class:`Breakdown` at ``ks[t]`` unless ``t`` is -1."""
+    if t >= 0:
+        raise Breakdown(f"{what}: non-finite value", k=int(ks[t]))
+
+
 def _check_finite(values: np.ndarray, ks: np.ndarray, what: str) -> None:
     """Raise :class:`Breakdown` at the first index of ``ks`` whose row of
     ``values`` (one value or one row per index) holds a non-finite entry."""
-    bad = ~np.isfinite(values).reshape(len(ks), -1).all(axis=1)
-    if bad.any():
-        raise Breakdown(f"{what}: non-finite value", k=int(ks[np.argmax(bad)]))
+    _check_finite_at(_first(~np.isfinite(values).reshape(len(ks), -1).all(axis=1)), ks, what)
+
+
+def _tables(problems: list[_Problem], ordered) -> list:
+    """Each problem's :class:`ComparisonTable`, or the error of its first
+    failing check (see :meth:`_Problem.table`).  The oracles and the values
+    of the methods ``ordered`` are stacked ``(P, 1 + methods, H+1)`` (a
+    method a problem did not set up holds its oracle), and checked for
+    finiteness and turned into relative errors at once."""
+    stacked = np.stack(
+        [[p.oracle, *(p.values.get(name, p.oracle) for name in ordered)] for p in problems]
+    )
+    rel_errors = _relative_errors(stacked[:, 1:], stacked[:, :1])
+    bad, bad_errors = _first(~np.isfinite(stacked)), _first(~np.isfinite(rel_errors))
+    return [
+        _outcome(p.table, *rows, ordered)
+        for p, *rows in zip(problems, rel_errors, bad, bad_errors)
+    ]
 
 
 def check_methods(spec: RecurrenceSpec, methods) -> list[str]:
@@ -415,18 +515,31 @@ def compare_methods(
 
 def _compare_batch(specs, initial, methods, root_tol: float = DEFAULT_ROOT_TOL) -> list:
     """:func:`compare_methods` of each problem of ``specs``, which share one
-    order and horizon, computed as one batch: one root pass over all their
-    rows, one recursion loop for all oracles and riccati seeds, and one
-    chain for all methods of all problems.  A problem whose window start
-    and coefficient table are bit-equal to an earlier one's reuses its
-    :class:`ComparisonTable`: the result is a deterministic function of
-    them, the initial values, the methods and the tolerance.
+    order and horizon, computed as one batch (see :func:`_outcomes`).
 
-    Returns the tables in the order of ``specs``.  A batched stage charges
-    each failure to the problem (and method) that read it, and the failure
-    of the first failing problem in that order is raised, so the result is
-    that of ``compare_methods`` called on each problem in turn.
+    Returns the tables in the order of ``specs``.  The failure of the first
+    failing problem in that order is raised, so the result is that of
+    ``compare_methods`` called on each problem in turn.
     """
+    outcomes = _outcomes(specs, initial, methods, root_tol)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def _outcomes(specs, initial, methods, root_tol: float) -> list:
+    """Per problem of ``specs``, in order, its :class:`ComparisonTable` or
+    the error ``compare_methods`` raises on it alone, from one batch: one
+    root pass over all their rows, one recursion loop for all oracles and
+    riccati seeds, each method set up for all problems at once, in the
+    requested order (:func:`_set_up`), one chain for all methods of all
+    problems, and the checks of all tables at once (:func:`_tables`).  A
+    batched stage charges each failure to the problem (and method) that
+    read it.  A problem whose window start and coefficient table are
+    bit-equal to an earlier one's reuses its outcome: that is a
+    deterministic function of them, the initial values, the methods and the
+    tolerance."""
     if len({(spec.order, spec.horizon) for spec in specs}) > 1:
         raise ValueError("a batch takes problems of one order and horizon")
     ordered = list(dict.fromkeys(methods))
@@ -441,20 +554,16 @@ def _compare_batch(specs, initial, methods, root_tol: float = DEFAULT_ROOT_TOL) 
         if live:
             _root_pass(live, ordered, root_tol)
             _recurse(live, any(_METHODS[name].seeded for name in ordered))
+            _set_up(live, ordered)
             for p in live:
-                p.set_up(ordered)
                 p.values = dict.fromkeys(p.chained, p.oracle)  # direct reports the oracle
             stepped = [(p, name) for p in live for name, c in p.chained.items() if c is not None]
             if stepped:
                 states = _run_chains([p.chained[name] for p, name in stepped])
                 for (p, name), values in zip(stepped, states):
                     p.values[name] = values
-        results = {
-            key: _outcome(p.table) if isinstance(p, _Problem) else p for key, p in problems.items()
-        }
-    for key in keys:
-        if isinstance(results[key], Exception):
-            raise results[key]
+        tables = iter(_tables(live, ordered) if live else [])
+    results = {key: next(tables) if isinstance(p, _Problem) else p for key, p in problems.items()}
     return [results[key] for key in keys]
 
 

@@ -301,7 +301,8 @@ def test_step_solve_matches_bjorck_pereyra(n, seed, eps):
     roots = np.array([frame.roots for frame in frames])
     ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
     f, forcing = spec.table[: spec.horizon, :-1], spec.table[: spec.horizon, -1]
-    T, push = _step_arrays(_vandermonde(roots), f, forcing, ks)
+    [T], [push], [failure] = _step_arrays(_vandermonde(roots)[None], f[None], forcing[None], [ks])
+    assert failure is None
     e_n = np.eye(n)[:, -1]
     for t in range(spec.horizon):
         h = build_H(power_gauge(frames[t]), spec.coeff_array(ks[t]))
@@ -381,13 +382,21 @@ def test_stacked_solve_names_the_lowest_bad_index(seed, w, bad, k_first):
             a[t], b[t] = np.eye(3), [1.0, 1.0, 0.0]
             a[t, 0, 1] = 1e17
     ks = np.arange(k_first, k_first + w)
-    with pytest.raises(SingularGauge) as info:
-        _residual_checked_solve(a, b, ks)
-    assert info.value.k == ks[min(bad)]
+    # a second group, the first with its bad systems replaced, passes beside it
     good = [t for t in range(w) if t not in bad]
+    mended_a, mended_b = a.copy(), b.copy()
+    mended_a[list(bad)], mended_b[list(bad)] = 4.0 * np.eye(3), 1.0
+    x, [failure, none] = _residual_checked_solve(
+        np.stack([a, mended_a]), np.stack([b, mended_b]), [ks, ks + w]
+    )
+    assert isinstance(failure, SingularGauge)
+    assert failure.k == ks[min(bad)]
+    assert none is None
+    assert np.allclose(np.einsum("tij,tj->ti", mended_a, x[1]), mended_b)
     if good:
-        x = _residual_checked_solve(a[good], b[good], ks[good])
-        assert np.allclose(np.einsum("tij,tj->ti", a[good], x), b[good])
+        x, [none] = _residual_checked_solve(a[None, good], b[None, good], ks[None, good])
+        assert none is None
+        assert np.allclose(np.einsum("tij,tj->ti", a[good], x[0]), b[good])
 
 
 @pytest.mark.parametrize("n", range(2, 9))

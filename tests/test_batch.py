@@ -9,6 +9,7 @@ first failing problem in order is the one reported, whatever stage each
 problem fails in.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from wkbrec import (
     NoConvergence,
     RecurrenceError,
     RecurrenceSpec,
+    SingularGauge,
     Tabulated,
     compare_methods,
     direct_solve,
@@ -392,6 +394,85 @@ def test_a_bad_tolerance_is_the_first_root_reading_methods_error():
     long = sin_family(epsilon=0.01, horizon=2000)
     with pytest.raises(Breakdown, match="method 'companion': non-finite value at index k=648"):
         _compare_batch([long, long.with_epsilon(0.02)], INITIAL, ["companion", "riccati"], -1.0)
+
+
+def cube_roots(s):
+    """Constant roots ``s``, ``s w`` and ``s w**2`` (w a cube root of one),
+    for ``rho**3 = s**3``: separated at any ``s``, but their Vandermonde
+    matrix has admissibility ``3**1.5 s**3``, below threshold for
+    ``s < 5.8e-5``."""
+    return constant_spec([-(s**3), 0.0, 0.0], 6)
+
+
+def shrinking_roots():
+    """The roots of :func:`cube_roots` at ``s = 10**-k``: admissible up to
+    k=4, so the power start passes and gauge-exact's steps fail at k=5."""
+    f0 = Tabulated(values=-(10.0 ** -np.arange(10.0)) ** 3, k_first=0)
+    return RecurrenceSpec(order=3, coeffs=(f0, Constant(0.0), Constant(0.0)), k_start=0, horizon=6)
+
+
+@pytest.mark.parametrize(
+    "failing, methods, error, message",
+    [
+        pytest.param(
+            setup_failure(),
+            METHODS,
+            Breakdown,
+            "method 'riccati': solution value vanishes, ratio undefined at index k=2 branch 0",
+            id="riccati-seed-vanishes",
+        ),
+        pytest.param(
+            cube_roots(1e-5),
+            ["companion", "wkb-general", "gauge-exact", "riccati"],
+            SingularGauge,
+            "method 'wkb-general': gauge admissibility 5.196e-15 below threshold at index k=0",
+            id="power-start-not-admissible",
+        ),
+        pytest.param(
+            cube_roots(6e-5),
+            ["direct", "gauge-exact"],
+            SingularGauge,
+            r"method 'gauge-exact': solve residual \S+ above 1e-10 at index k=0",
+            id="power-start-residual",
+        ),
+        pytest.param(
+            cube_roots(1e-5),
+            ["riccati", "gauge-exact"],
+            SingularGauge,
+            "method 'riccati': gauge admissibility 5.196e-15 below threshold at index k=0",
+            id="riccati-start-not-admissible",
+        ),
+        pytest.param(
+            shrinking_roots(),
+            ["wkb-general", "gauge-exact", "direct"],
+            SingularGauge,
+            "method 'gauge-exact': gauge admissibility 5.196e-15 below threshold at index k=5",
+            id="gauge-exact-step-not-admissible",
+        ),
+        pytest.param(
+            squeeze_spec(3, 4, 1.5),
+            ["riccati", "wkb-general", "gauge-exact", "direct"],
+            DegenerateRoots,
+            "method 'wkb-general': root separation below threshold at index k=4",
+            id="root-pass-cut-riccati-reads-row-0",
+        ),
+    ],
+)
+def test_a_failure_in_a_batched_stage_is_charged_to_its_problem(failing, methods, error, message):
+    # the middle problem of three fails inside a stage that sets up all
+    # problems at once: it gets the error it raises alone, and the problems
+    # beside it the bytes they get alone, or in a batch without it
+    alone = error_of(lambda: compare_methods(failing, INITIAL, methods))
+    assert alone[0] is error
+    assert re.fullmatch(message, alone[1])  # a pattern: the residual's digits may vary
+    good = [sin_family(0.01, failing.horizon), sin_family(0.02, failing.horizon)]
+    first, failure, last = wkb._outcomes([good[0], failing, good[1]], INITIAL, methods, 1e-10)
+    assert (type(failure), str(failure)) == alone
+    assert error_of(lambda: _compare_batch([good[0], failing, good[1]], INITIAL, methods)) == alone
+    without = _compare_batch(good, INITIAL, methods)
+    for spec, table, kept in zip(good, (first, last), without):
+        assert_same_table(table, compare_methods(spec, INITIAL, methods))
+        assert_same_table(kept, table)
 
 
 def test_problems_of_one_order_and_horizon_only():

@@ -269,6 +269,26 @@ class TestValidatorDiagnostics:
                 "(expected constant, tabulated, polynomial or sinusoidal)",
                 id="unknown-variant",
             ),
+            pytest.param(
+                {"coefficients": [_MODEL, {"variant": "tabulated", "values": 5, "k_first": 0}]},
+                "coefficients[1]: 'values' must be a list of complex numbers, got 5",
+                id="values-not-a-list",
+            ),
+            pytest.param(
+                {"coefficients": [_MODEL, {"variant": "tabulated", "values": "abc", "k_first": 0}]},
+                "coefficients[1]: 'values' must be a list of complex numbers, got 'abc'",
+                id="values-a-string",
+            ),
+            pytest.param(
+                {"coefficients": [_MODEL, {"variant": "polynomial", "coeffs": 5}]},
+                "coefficients[1]: 'coeffs' must be a list of complex numbers, got 5",
+                id="coeffs-not-a-list",
+            ),
+            pytest.param(
+                {"coefficients": [_MODEL, {"variant": "tabulated", "values": [], "k_first": 0}]},
+                "coefficients[1]: 'values' must not be empty",
+                id="values-empty",
+            ),
             pytest.param([1, 2], "scenario must be a JSON object", id="not-an-object"),
             pytest.param({"order": "2"}, "'order' must be an integer", id="order"),
             pytest.param({"k_start": 1.5}, "'k_start' must be an integer", id="k_start"),
@@ -544,7 +564,9 @@ class TestSweepReuse:
         # and the sweep 0.02, 0.01, 0.005 make three problems, with three
         # riccati seed recursions each; one eigvals call, one polish and one
         # residual check over the distinct rows of their tables, one recursion
-        # loop and one chain serve them all
+        # loop and one chain serve them all, and each method is set up for all
+        # three at once: one residual-checked solve of the power starts, one
+        # of gauge-exact's 3 x 200 steps and one of the riccati starts
         data = readme_scenario(tmp_path, 0.01)
         data["methods"] = list(wkbrec.wkb.METHOD_NAMES)
         scenario = write_scenario(tmp_path / "readme.json", data)
@@ -559,9 +581,13 @@ class TestSweepReuse:
         checks = self.count_calls(
             monkeypatch, wkbrec.roots, "_residual_check", lambda f, z, unsettled, tol: len(f)
         )
+        solves = self.count_calls(
+            monkeypatch, wkbrec.decomposition, "_residual_checked_solve", lambda a, b, ks: a[..., 0, 0].size
+        )
         assert main(["run", scenario]) == EXIT_OK
         assert (passes, loops, chains) == ([3], [12], [18])
         assert (eigvals, polish, checks) == ([rows], [rows], [rows])
+        assert solves == [3, 600, 3]
 
 
 class TestFailureOrder:
