@@ -14,10 +14,17 @@ re-ingests to reproduce the run), and, when the scenario carries a sweep
 list, a terminal-error summary per parameter value.  CSV numbers are
 formatted with 17 significant digits (``%.17g``), JSON numbers with the
 shortest ``repr`` that reads back to the same double (the text of
-``json.dumps(..., indent=2)``), and files are written atomically, so
-identical scenarios produce byte-identical output.  The JSON writer takes
-int64, float64 and complex128 columns as they are, a complex one written as
-its ``[re, im]`` pairs.
+``json.dumps(..., indent=2)``), so identical scenarios produce
+byte-identical output.  The JSON writer takes int64, float64 and complex128
+columns as they are, a complex one written as its ``[re, im]`` pairs.
+
+Each file is streamed: its text is formatted one block of ``_BLOCK`` array
+entries or table rows at a time and written as it is formatted, so no
+file's text is held whole.  Writes are atomic: the text goes to a temporary
+file in the target's directory, which then replaces the target, so a
+failure partway leaves no file and an earlier one keeps its bytes.  A
+written file gets the mode ``open(path, "w")`` gives a new file
+(``0o666`` less the umask).
 
 Exit codes: 0 success, 2 schema error, 3 numerical breakdown, 4 I/O error.
 Subcommands raise, and only :func:`main` reports a failure: one line on
@@ -55,15 +62,21 @@ EXIT_IO = 4
 
 # the arrays the JSON writer formats itself: the index, value and table columns
 _ARRAY_DTYPES = {np.dtype(np.int64), np.dtype(float), np.dtype(complex)}
+# array entries (JSON) or table rows (CSV) formatted per chunk of text
+_BLOCK = 4096
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in its directory,
-    which must exist."""
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the text ``chunks`` one at a time to a temporary file in the
+    directory of ``path``, which must exist, then replace ``path`` by it.
+    The file gets the mode ``open(path, "w")`` gives a new file."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+        umask = os.umask(0)  # mkstemp's file is owner-only; reading the umask sets it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,74 +84,108 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _emit(obj, pad: str) -> str:
-    """``obj`` as ``json.dumps(obj, indent=2, allow_nan=False)`` writes it
+def _emit(obj, pad: str):
+    """The chunks of ``json.dumps(obj, indent=2, allow_nan=False)`` written
     at indentation ``pad``.  Dicts with string keys and lists recurse; a 1-D
     array of ``_ARRAY_DTYPES`` is one ``%`` format of a repeated row template
-    (``%r`` is json's number text); json writes any other value."""
+    per block of ``_BLOCK`` entries (``%r`` is json's number text); json
+    writes any other value."""
     inner = pad + "  "
     if type(obj) is dict and obj and all(type(key) is str for key in obj):
-        items = (json.dumps(key) + ": " + _emit(value, inner) for key, value in obj.items())
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype in _ARRAY_DTYPES:
+        sep = "{\n" + inner
+        for key, value in obj.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _emit(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype in _ARRAY_DTYPES:
         if not obj.size:
-            return "[]"
-        if not np.isfinite(obj).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        row, numbers = "%r", obj
-        if obj.dtype.kind == "c":  # the view keeps each part's bits, -0.0 included
-            numbers = np.ascontiguousarray(obj).view(float)
+            yield "[]"
+            return
+        row, sep = "%r", ",\n" + inner
+        if obj.dtype.kind == "c":
             row = "[\n" + inner + "  %r,\n" + inner + "  %r\n" + inner + "]"
-        rows = (",\n" + inner).join([row] * len(obj))
-        return "[\n" + inner + rows % tuple(numbers.tolist()) + "\n" + pad + "]"
-    if type(obj) is list and obj:
-        items = (_emit(item, inner) for item in obj)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+        for start in range(0, len(obj), _BLOCK):
+            block = obj[start : start + _BLOCK]
+            if not np.isfinite(block).all():
+                raise ValueError("Out of range float values are not JSON compliant")
+            rows = ("[\n" + inner if start == 0 else sep) + sep.join([row] * len(block))
+            if block.dtype.kind == "c":  # the view keeps each part's bits, -0.0 included
+                block = np.ascontiguousarray(block).view(float)
+            yield rows % tuple(block.tolist())
+        yield "\n" + pad + "]"
+    elif type(obj) is list and obj:
+        sep = "[\n" + inner
+        for item in obj:
+            yield sep
+            yield from _emit(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "]"
+    else:
+        yield json.dumps(obj, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+
+
+def _json_chunks(payload):
+    """The chunks of ``json.dumps(payload, indent=2, allow_nan=False)`` plus
+    a newline, an array standing for its ``tolist()`` (a complex one for its
+    [re, im] pairs).  A NaN or infinity raises ``ValueError``, as in json."""
+    yield from _emit(payload, "")
+    yield "\n"
 
 
 def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=2, allow_nan=False)`` plus a newline, an
-    array standing for its ``tolist()`` (a complex one for its [re, im]
-    pairs).  A NaN or infinity raises ``ValueError``, as in json."""
-    return _emit(payload, "") + "\n"
+    return "".join(_json_chunks(payload))
 
 
-def _csv(header: list[str], k, numbers: np.ndarray) -> str:
-    """A CSV table: ``header``, then one row per row of the floats
-    ``numbers``, each written ``%.17g`` (of the number + 0.0, so -0.0 and
-    0.0 print alike) after the int64 ``k[i]`` unless ``k`` is None: one
-    ``%`` format of a repeated row template."""
-    row, cells = ",".join(["%.17g"] * numbers.shape[1]) + "\n", numbers + 0.0
+def _csv(header: list[str], k, numbers: np.ndarray):
+    """The chunks of a CSV table: ``header``, then one row per row of the
+    floats ``numbers``, each written ``%.17g`` (of the number + 0.0, so -0.0
+    and 0.0 print alike) after the int64 ``k[i]`` unless ``k`` is None: one
+    ``%`` format of a repeated row template per block of ``_BLOCK`` rows."""
+    row = ",".join(["%.17g"] * numbers.shape[1]) + "\n"
     if k is not None:
-        row, cells = "%d," + row, np.column_stack((k.astype(object), cells.astype(object)))
-    return ",".join(header) + "\n" + (row * len(cells)) % tuple(cells.ravel().tolist())
+        row = "%d," + row
+    yield ",".join(header) + "\n"
+    for start in range(0, len(numbers), _BLOCK):
+        cells = numbers[start : start + _BLOCK] + 0.0
+        if k is not None:
+            ks = k[start : start + _BLOCK].astype(object)
+            cells = np.column_stack((ks, cells.astype(object)))
+        yield (row * len(cells)) % tuple(cells.ravel().tolist())
 
 
-def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
+def _trajectory_chunks(table: ComparisonTable, fmt: str):
     if fmt == "json":
         methods = {
             name: {"re": vals.real + 0.0, "im": vals.imag + 0.0}
             for name, vals in table.values.items()
         }
-        return _json_text({"k": table.k, "methods": methods})
+        return _json_chunks({"k": table.k, "methods": methods})
     header = ["k", *(f"{name}_{part}" for name in table.values for part in ("re", "im"))]
     # each complex column as its re, im pair of float columns
     return _csv(header, table.k, np.stack(list(table.values.values()), axis=1).view(float))
 
 
-def _error_tables(table: ComparisonTable, fmt: str) -> str:
+def _error_chunks(table: ComparisonTable, fmt: str):
     if fmt == "json":
         errors = {name: errs + 0.0 for name, errs in table.rel_errors.items()}
-        return _json_text({"k": table.k, "relative_error": errors})
+        return _json_chunks({"k": table.k, "relative_error": errors})
     header = ["k", *(f"{name}_relerr" for name in table.rel_errors)]
     return _csv(header, table.k, np.stack(list(table.rel_errors.values()), axis=1))
 
 
-def _sweep_table(result: SweepResult, fmt: str) -> str:
+def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
+    return "".join(_trajectory_chunks(table, fmt))
+
+
+def _error_tables(table: ComparisonTable, fmt: str) -> str:
+    return "".join(_error_chunks(table, fmt))
+
+
+def _sweep_chunks(result: SweepResult, fmt: str):
     if fmt == "json":
         errors = {n: e + 0.0 for n, e in result.terminal_errors.items()}
-        return _json_text({"epsilon": result.epsilons + 0.0, "terminal_relative_error": errors})
+        return _json_chunks({"epsilon": result.epsilons + 0.0, "terminal_relative_error": errors})
     header = ["epsilon", *(f"{name}_terminal_relerr" for name in result.terminal_errors)]
     return _csv(header, None, np.column_stack((result.epsilons, *result.terminal_errors.values())))
 
@@ -149,8 +196,8 @@ def _cmd_validate(args) -> int:
 
 
 def _execute(args, sweep_only: bool) -> int:
-    """``run`` and ``sweep``: load, compute everything, then format and
-    write one file at a time (only one output text is held at once)."""
+    """``run`` and ``sweep``: load, compute everything, then write one file
+    at a time, each as it is formatted, block by block."""
     stem = Path(args.scenario).stem
     scenario = load_scenario(args.scenario)
     spec, initial, methods = scenario.spec, scenario.initial, scenario.methods
@@ -169,23 +216,22 @@ def _execute(args, sweep_only: bool) -> int:
     table = tables[0] if own else None
     sweep = _sweep_result(epsilons, tables[len(own) :], methods) if epsilons else None
     if table is not None:  # the resolved file tabulates N indices past the horizon
-        ks = spec.k_start + np.arange(len(spec.table))
-        _check_finite(spec.table, ks, "coefficient table")
+        _check_finite(spec.table, spec.k_start + np.arange(len(spec.table)), "coefficient table")
 
     outdir = Path(args.output_dir) if args.output_dir else Path(scenario.output_path)
     fmt = args.format if args.format else scenario.output_format
-    files = []  # (file name, formatter) in writing order
+    files = []  # (file name, its chunks of text) in writing order
     if table is not None:
         files += [
-            (f"{stem}_trajectory.{fmt}", lambda: _trajectory_tables(table, fmt)),
-            (f"{stem}_errors.{fmt}", lambda: _error_tables(table, fmt)),
-            (f"{stem}_resolved.json", lambda: _json_text(_resolved_payload(scenario))),
+            (f"{stem}_trajectory.{fmt}", _trajectory_chunks(table, fmt)),
+            (f"{stem}_errors.{fmt}", _error_chunks(table, fmt)),
+            (f"{stem}_resolved.json", _json_chunks(_resolved_payload(scenario))),
         ]
     if sweep is not None:
-        files.append((f"{stem}_sweep.{fmt}", lambda: _sweep_table(sweep, fmt)))
+        files.append((f"{stem}_sweep.{fmt}", _sweep_chunks(sweep, fmt)))
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in files:
-        _atomic_write(outdir / name, text())
+    for name, chunks in files:
+        _atomic_write(outdir / name, chunks)
     # ``run`` names its two tables, ``sweep`` its one
     named = [name for name, _ in files[: 1 if sweep_only else 2]]
     print(f"wrote {', '.join(named)} to {outdir}")
@@ -233,13 +279,12 @@ def _cmd_generate(args) -> int:
     }
     # a draw can land on a degenerate problem; report rather than retry
     scenario_from_dict(data)
-    text = _json_text(data)
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out, text)
+        _atomic_write(out, _json_chunks(data))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_chunks(data))
     return EXIT_OK
 
 
