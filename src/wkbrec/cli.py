@@ -20,9 +20,10 @@ columns as they are, a complex one written as its ``[re, im]`` pairs.
 
 Each file is streamed: its text is formatted one block of ``_BLOCK`` array
 entries or table rows at a time and written as it is formatted, so no
-file's text is held whole.  Writes are atomic: the text goes to a temporary
-file in the target's directory, which then replaces the target, so a
-failure partway leaves no file and an earlier one keeps its bytes.  A
+file's text is held whole.  The files of a run are written together: each
+file's text goes to a temporary file in the target's directory, and the
+temporary files replace their targets only once all are written, so a
+failure while they are written leaves every earlier file as it was.  A
 written file gets the mode ``open(path, "w")`` gives a new file
 (``0o666`` less the umask).
 
@@ -66,21 +67,27 @@ _ARRAY_DTYPES = {np.dtype(np.int64), np.dtype(float), np.dtype(complex)}
 _BLOCK = 4096
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Write the text ``chunks`` one at a time to a temporary file in the
-    directory of ``path``, which must exist, then replace ``path`` by it.
-    The file gets the mode ``open(path, "w")`` gives a new file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def _atomic_write(files) -> None:
+    """Write the text chunks of each (path, chunks) of ``files`` to a temporary
+    file in the path's existing directory, then replace every path by its
+    temporary file, in the mode ``open(path, "w")`` gives a new file.  A
+    failure while writing leaves every path as it was, and no temporary file."""
+    umask = os.umask(0)  # mkstemp's file is owner-only; reading the umask sets it
+    os.umask(umask)
+    temps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(chunks)
-        umask = os.umask(0)  # mkstemp's file is owner-only; reading the umask sets it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for path, chunks in files:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(chunks)
+            os.chmod(tmp, 0o666 & ~umask)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -160,18 +167,20 @@ def _trajectory_chunks(table: ComparisonTable, fmt: str):
             name: {"re": vals.real + 0.0, "im": vals.imag + 0.0}
             for name, vals in table.values.items()
         }
-        return _json_chunks({"k": table.k, "methods": methods})
+        yield from _json_chunks({"k": table.k, "methods": methods})
+        return
     header = ["k", *(f"{name}_{part}" for name in table.values for part in ("re", "im"))]
     # each complex column as its re, im pair of float columns
-    return _csv(header, table.k, np.stack(list(table.values.values()), axis=1).view(float))
+    yield from _csv(header, table.k, np.stack(list(table.values.values()), axis=1).view(float))
 
 
 def _error_chunks(table: ComparisonTable, fmt: str):
     if fmt == "json":
         errors = {name: errs + 0.0 for name, errs in table.rel_errors.items()}
-        return _json_chunks({"k": table.k, "relative_error": errors})
+        yield from _json_chunks({"k": table.k, "relative_error": errors})
+        return
     header = ["k", *(f"{name}_relerr" for name in table.rel_errors)]
-    return _csv(header, table.k, np.stack(list(table.rel_errors.values()), axis=1))
+    yield from _csv(header, table.k, np.stack(list(table.rel_errors.values()), axis=1))
 
 
 def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
@@ -183,11 +192,13 @@ def _error_tables(table: ComparisonTable, fmt: str) -> str:
 
 
 def _sweep_chunks(result: SweepResult, fmt: str):
+    epsilons, errors = result.epsilons, result.terminal_errors
     if fmt == "json":
-        errors = {n: e + 0.0 for n, e in result.terminal_errors.items()}
-        return _json_chunks({"epsilon": result.epsilons + 0.0, "terminal_relative_error": errors})
-    header = ["epsilon", *(f"{name}_terminal_relerr" for name in result.terminal_errors)]
-    return _csv(header, None, np.column_stack((result.epsilons, *result.terminal_errors.values())))
+        copies = {name: e + 0.0 for name, e in errors.items()}
+        yield from _json_chunks({"epsilon": epsilons + 0.0, "terminal_relative_error": copies})
+        return
+    header = ["epsilon", *(f"{name}_terminal_relerr" for name in errors)]
+    yield from _csv(header, None, np.column_stack((epsilons, *errors.values())))
 
 
 def _cmd_validate(args) -> int:
@@ -196,8 +207,8 @@ def _cmd_validate(args) -> int:
 
 
 def _execute(args, sweep_only: bool) -> int:
-    """``run`` and ``sweep``: load, compute everything, then write one file
-    at a time, each as it is formatted, block by block."""
+    """``run`` and ``sweep``: load, compute everything, then write the
+    files together, each as it is formatted, block by block."""
     stem = Path(args.scenario).stem
     scenario = load_scenario(args.scenario)
     spec, initial, methods = scenario.spec, scenario.initial, scenario.methods
@@ -230,8 +241,7 @@ def _execute(args, sweep_only: bool) -> int:
     if sweep is not None:
         files.append((f"{stem}_sweep.{fmt}", _sweep_chunks(sweep, fmt)))
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, chunks in files:
-        _atomic_write(outdir / name, chunks)
+    _atomic_write([(outdir / name, chunks) for name, chunks in files])
     # ``run`` names its two tables, ``sweep`` its one
     named = [name for name, _ in files[: 1 if sweep_only else 2]]
     print(f"wrote {', '.join(named)} to {outdir}")
@@ -282,7 +292,7 @@ def _cmd_generate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out, _json_chunks(data))
+        _atomic_write([(out, _json_chunks(data))])
     else:
         sys.stdout.writelines(_json_chunks(data))
     return EXIT_OK

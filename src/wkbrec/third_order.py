@@ -202,17 +202,17 @@ class RiccatiBranch:
 def _ratios(y: np.ndarray, k_starts, labels):
     """Ratio sequences ``y[..., 1:] / y[..., :-1]`` of the solutions ``y``
     ``(P, B, W)`` of P problems, those of branch b labelled ``labels[b]``
-    and starting at ``k_starts[p]``.  Returns the ratios of the problems
-    whose values do not vanish, and per problem the :class:`Breakdown` at the
-    first vanishing (or underflowed) value of its lowest such branch, or None."""
+    and starting at ``k_starts[p]``.  Returns the ratios ``(P, B, W-1)``
+    and per problem the :class:`Breakdown` at the first vanishing (or
+    underflowed) value of its lowest such branch, or None."""
     tiny = np.abs(y[..., :-1]) <= np.finfo(float).tiny
     failures = np.full(len(y), None)
     for p in np.flatnonzero(tiny.any(axis=(1, 2))):
         b = int(np.argmax(tiny[p].any(axis=1)))
         k = int(k_starts[p]) + int(np.argmax(tiny[p, b]))
         failures[p] = Breakdown("solution value vanishes, ratio undefined", k=k, branch=labels[b])
-    ok = np.equal(failures, None)
-    return y[ok, :, 1:] / y[ok, :, :-1], failures
+    with np.errstate(all="ignore"):
+        return y[..., 1:] / y[..., :-1], failures
 
 
 def oracle_ratio_branch(traj: ScalarTrajectory, label: int = 0) -> RiccatiBranch:

@@ -23,9 +23,10 @@ Several problems of one order and horizon (a run and its sweep) are
 computed as one batch: one root pass over all their rows, one scalar
 recursion loop for their oracles and riccati's seed solutions, each method
 set up for all problems at once (method by method, over arrays with a
-leading problem axis, each check giving one verdict per problem), one chain
-loop for all methods of all problems, one batched product per index, and
-one finiteness and relative-error check of all their tables.
+leading problem axis; a setup gives one verdict per problem and computes a
+failing problem's rows without reading them), one chain loop for all
+methods of all problems, one batched product per index, and one finiteness
+and relative-error check of all their tables.
 :func:`compare_methods` is the batch of one problem.
 """
 
@@ -39,7 +40,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import RecurrenceSpec, _chain, _companion_chain, _initial, _recur
-from .decomposition import ComponentVector, _decompose, _solve_one, _step_arrays, build_M
+from .decomposition import (
+    ComponentVector,
+    _decompose,
+    _first_failures,
+    _solve_one,
+    _step_arrays,
+    build_M,
+)
 from .errors import Breakdown, DegenerateRoots, RecurrenceError
 from .roots import (
     DEFAULT_ROOT_TOL,
@@ -174,7 +182,8 @@ class _Problem:
     loop, and, once a power-gauge method is set up, the initial values split
     under the power gauge of row 0 (``start``) and the :func:`_spread` of
     rows 1 .. H.  Then each method's chain inputs (None for ``direct``), up
-    to the first method whose setup fails, with that failure."""
+    to the first method that fails, at its root rows or in its setup, with
+    that failure (charged by :func:`_set_up` alone)."""
 
     spec: RecurrenceSpec
     initial: np.ndarray
@@ -200,11 +209,6 @@ class _Problem:
     @property
     def ks(self) -> np.ndarray:
         return np.arange(self.spec.k_start, self.spec.k_start + self.spec.horizon + 1)
-
-    def rows_error(self, count: int) -> Exception | None:
-        """None if the first ``count`` root rows passed, else the failure
-        that stopped the root pass before them."""
-        return None if len(self.roots) >= count else self.root_error
 
     def table(self, rel_errors, bad, bad_errors, ordered) -> ComparisonTable:
         """The comparison table of the set-up methods' values, from this
@@ -232,40 +236,15 @@ class _Problem:
         return ComparisonTable(k=ks, oracle=self.oracle, values=self.values, rel_errors=rel)
 
 
-class _Stack(NamedTuple):
-    """The problems of a batch that method ``name`` is set up for, in batch
-    order; the arrays of a setup stack theirs along a leading problem axis."""
-
-    name: str
-    problems: list[_Problem]
-
-    def stacked(self, read) -> np.ndarray:
-        return np.stack([read(p) for p in self.problems])
-
-    def passing(self, failures, *arrays) -> tuple:
-        """This stack without the problems that have a failure in
-        ``failures`` (one per problem, None where it passes), each of them
-        charged with it, followed by ``arrays`` without their rows."""
-        keep = np.array([exc is None for exc in failures], dtype=bool)
-        if keep.all():  # the common case keeps the arrays uncopied
-            return (self, *arrays)
-        for p, exc in zip(self.problems, failures):
-            if exc is not None:
-                p.failure = self.name, exc
-        kept = [p for p, k in zip(self.problems, keep) if k]
-        return (self._replace(problems=kept), *(a[keep] for a in arrays))
-
-
 _branch_sum = partial(np.sum, axis=1)
 
 
-def _power_ready(stack: _Stack) -> _Stack:
-    """The stack without the problems that fail before a power-gauge chain:
-    at root rows 0 .. H, or at the split of their initial values under the
-    power gauge of row 0, where every power-gauge method starts (made once
-    per batch, for all problems of the first such method)."""
-    stack = stack.passing([p.rows_error(p.spec.horizon + 1) for p in stack.problems])[0]
-    fresh = [p for p in stack.problems if p.start is None]
+def _power_starts(problems: list[_Problem]):
+    """The split ``(P, N)`` of each problem's initial values under the power
+    gauge of root row 0, where every power-gauge method starts, and its
+    verdict (made once per batch, for all problems of the first such method;
+    a problem whose split failed stops there, so a cached split passed)."""
+    fresh = [p for p in problems if p.start is None]
     failures = {}
     if fresh:
         starts, errors = _decompose(
@@ -275,52 +254,50 @@ def _power_ready(stack: _Stack) -> _Stack:
         )
         for p, start, exc in zip(fresh, starts, errors):
             p.start, failures[p] = start, exc
-    return stack.passing([failures.get(p) for p in stack.problems])[0]
+    return np.stack([p.start for p in problems]), [failures.get(p) for p in problems]
 
 
-def _power_spread(stack: _Stack) -> np.ndarray:
+def _power_spread(problems: list[_Problem]) -> np.ndarray:
     """:func:`_spread` of root rows 1 .. H ``(P, H, N)``, shared by the
     power-gauge kernels: made once per batch, for all problems of the first
     kernel method."""
-    fresh = [p for p in stack.problems if p.spread is None]
+    fresh = [p for p in problems if p.spread is None]
     if fresh:
         for p, spread in zip(fresh, _spread(np.stack([p.roots[1:] for p in fresh]))):
             p.spread = spread
-    return stack.stacked(lambda p: p.spread)
+    return np.stack([p.spread for p in problems])
 
 
-def _power_gauge_chain(stack: _Stack, kernel=None):
+def _power_gauge_chain(problems: list[_Problem], kernel=None):
     """A power-gauge method over the ``(P, H+1, N)`` root tables of the
-    stack: ``kernel(r, R)`` gives the step matrices or diagonals from the
+    problems: ``kernel(r, R)`` gives the step matrices or diagonals from the
     roots at k and k+1 (the forcing is spread by :func:`_spread`); no kernel
-    means the exact step.  Returns the stack that passed and its chain inputs."""
-    stack = _power_ready(stack)
-    if not stack.problems:
-        return stack, []
-    horizon = stack.problems[0].spec.horizon
-    roots = stack.stacked(lambda p: p.roots)
-    table = stack.stacked(lambda p: p.spec.table[:horizon])
+    means the exact step, whose verdict follows the start's."""
+    starts, failures = _power_starts(problems)
+    horizon = problems[0].spec.horizon
+    roots = np.stack([p.roots for p in problems])
+    table = np.stack([p.spec.table[:horizon] for p in problems])
     f, forcing = table[..., :-1], table[..., -1]
-    starts = stack.stacked(lambda p: p.start)
     if kernel is None:
-        ks = stack.stacked(lambda p: p.ks)
-        T, push, failures = _step_arrays(_vandermonde(roots), f, forcing, ks)
-        stack, starts, T, push = stack.passing(failures, starts, T, push)
+        ks = np.stack([p.ks for p in problems])
+        T, push, later = _step_arrays(_vandermonde(roots), f, forcing, ks)
+        failures = _first_failures(failures, later)
     else:
         T = kernel(roots[:, :-1], roots[:, 1:])
-        push = -forcing[..., None] * _power_spread(stack)
-    return stack, [_Chained(*chain, _branch_sum) for chain in zip(starts, T, push)]
+        push = -forcing[..., None] * _power_spread(problems)
+    return [_Chained(*chain, _branch_sum) for chain in zip(starts, T, push)], failures
 
 
-def _explicit3_chain(stack: _Stack):
-    stack = _power_ready(stack)
-    if not stack.problems:
-        return stack, []
-    return _power_gauge_chain(stack, partial(_explicit3_matrix, spread=_power_spread(stack)))
+def _explicit3_chain(problems: list[_Problem]):
+    return _power_gauge_chain(problems, partial(_explicit3_matrix, spread=_power_spread(problems)))
 
 
-def _companion_method_chain(stack: _Stack):
-    return stack, [_companion_one(p) for p in stack.problems]
+def _no_chain(problems: list[_Problem]):
+    return [None] * len(problems), [None] * len(problems)
+
+
+def _companion_method_chain(problems: list[_Problem]):
+    return [_companion_one(p) for p in problems], [None] * len(problems)
 
 
 def _companion_one(problem: _Problem) -> _Chained:
@@ -335,23 +312,18 @@ def _riccati_seeds(roots: np.ndarray) -> np.ndarray:
     return _vandermonde(roots[0]).T
 
 
-def _riccati_chain(stack: _Stack):
+def _riccati_chain(problems: list[_Problem]):
     # The ratio sequences of the seeded solutions decouple the system, so each
     # component is multiplied by its branch ratio per step (as in product_solution).
-    stack = stack.passing([p.rows_error(1) for p in stack.problems])[0]
-    if not stack.problems:
-        return stack, []
-    n, horizon = stack.problems[0].spec.order, stack.problems[0].spec.horizon
-    initial = stack.stacked(lambda p: p.initial)
-    k_starts = stack.stacked(lambda p: p.spec.k_start)
-    ratios, failures = _ratios(stack.stacked(lambda p: p.seeds), k_starts, range(n))
-    stack, initial, k_starts = stack.passing(failures, initial, k_starts)
+    n, horizon = problems[0].spec.order, problems[0].spec.horizon
+    k_starts = [p.spec.k_start for p in problems]
+    ratios, failures = _ratios(np.stack([p.seeds for p in problems]), k_starts, range(n))
     ones = np.ones((len(ratios), 1, n), dtype=complex)
     gauges = np.concatenate([ones, _ratio_gauge(ratios[..., : n - 1])], axis=1)
-    Y0, failures = _decompose(gauges, initial, k_starts)
-    stack, Y0, ratios = stack.passing(failures, Y0, ratios)
+    Y0, later = _decompose(gauges, np.stack([p.initial for p in problems]), k_starts)
     gains = ratios[..., :horizon].swapaxes(1, 2)
-    return stack, [_Chained(y, g, np.zeros_like(g), _branch_sum) for y, g in zip(Y0, gains)]
+    chained = [_Chained(y, g, np.zeros_like(g), _branch_sum) for y, g in zip(Y0, gains)]
+    return chained, _first_failures(failures, later)
 
 
 def _recurse(problems: list[_Problem], seeded: bool) -> None:
@@ -372,19 +344,24 @@ def _recurse(problems: list[_Problem], seeded: bool) -> None:
 
 def _set_up(problems: list[_Problem], ordered) -> None:
     """Each method's chain inputs for all problems at once, method by
-    method in the order ``ordered``; a problem stops at its first failing
-    method, which is charged with its failure."""
+    method in the order ``ordered``.  A problem stops at its first failing
+    method, which is charged here with its failure: the root rows the
+    method reads, then its setup's verdict."""
     for name in ordered:
-        stack = _Stack(name, [p for p in problems if p.failure is None])
-        if not stack.problems:
+        method = _METHODS[name]
+        rows = problems[0].spec.horizon + 1 if method.roots else int(method.seeded)
+        for p in problems:
+            if p.failure is None and len(p.roots) < rows:
+                p.failure = name, p.root_error
+        live = [p for p in problems if p.failure is None]
+        if not live:
             return
-        setup = _METHODS[name].setup
-        if setup is None:
-            chained = [None] * len(stack.problems)
-        else:
-            stack, chained = setup(stack)
-        for p, c in zip(stack.problems, chained):
-            p.chained[name] = c
+        chained, failures = method.setup(live)
+        for p, c, exc in zip(live, chained, failures):
+            if exc is None:
+                p.chained[name] = c
+            else:
+                p.failure = name, exc
 
 
 def _run_chains(chained: list[_Chained]) -> list[np.ndarray]:
@@ -396,32 +373,22 @@ def _run_chains(chained: list[_Chained]) -> list[np.ndarray]:
 
 
 class _Method(NamedTuple):
-    """One row of the method table: ``setup(stack)`` gives the method's
-    chain inputs for a :class:`_Stack` of problems, with the stack of those
-    that passed (None for ``direct``, which reports the oracle itself),
-    whether it reads every row of the root table, whether it reads
-    riccati's seed recursions (which start from root row 0), and its
-    restrictions."""
+    """One row of the method table: ``setup(problems)`` gives the method's
+    chain inputs for a list of problems and one verdict per problem (None
+    where it passes), both in the order of the list (no chain for
+    ``direct``, which reports the oracle itself); whether it reads every row
+    of the root table; whether it reads riccati's seed recursions (which
+    start from root row 0); and its restrictions."""
 
-    setup: Callable[[_Stack], tuple[_Stack, list[_Chained]]] | None = None
+    setup: Callable[[list[_Problem]], tuple[list[_Chained | None], list]]
     roots: bool = False
     seeded: bool = False
     order3_only: bool = False
     homogeneous_only: bool = False
 
-    def driver(self, spec, initial, roots) -> np.ndarray:
-        """The method's values on its own, from the root table ``roots``:
-        the batch and the chain with one member."""
-        problem = _Problem(spec, np.asarray(initial, dtype=complex), roots)
-        _recurse([problem], self.seeded)
-        _, chained = self.setup(_Stack("", [problem]))
-        if problem.failure is not None:
-            raise problem.failure[1]
-        return _run_chains(chained)[0]
-
 
 _METHODS = {
-    "direct": _Method(),
+    "direct": _Method(_no_chain),
     "companion": _Method(_companion_method_chain),
     "gauge-exact": _Method(_power_gauge_chain, True),
     "explicit3": _Method(_explicit3_chain, True, order3_only=True),
@@ -534,12 +501,11 @@ def _outcomes(specs, initial, methods, root_tol: float) -> list:
     root pass over all their rows, one recursion loop for all oracles and
     riccati seeds, each method set up for all problems at once, in the
     requested order (:func:`_set_up`), one chain for all methods of all
-    problems, and the checks of all tables at once (:func:`_tables`).  A
-    batched stage charges each failure to the problem (and method) that
-    read it.  A problem whose window start and coefficient table are
-    bit-equal to an earlier one's reuses its outcome: that is a
-    deterministic function of them, the initial values, the methods and the
-    tolerance."""
+    problems, and the checks of all tables at once (:func:`_tables`).  Each
+    failure is charged to the problem (and method) that read it.  A problem
+    whose window start and coefficient table are bit-equal to an earlier
+    one's reuses its outcome: that is a deterministic function of them, the
+    initial values, the methods and the tolerance."""
     if len({(spec.order, spec.horizon) for spec in specs}) > 1:
         raise ValueError("a batch takes problems of one order and horizon")
     ordered = list(dict.fromkeys(methods))

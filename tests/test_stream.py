@@ -1,7 +1,7 @@
 """The CLI's chunked writer: each file is formatted and written one block of
 ``cli._BLOCK`` array entries or table rows at a time, with the bytes of the
-whole-text reference, atomically, in the mode ``open(path, "w")`` gives and
-without ever holding a whole file's text."""
+whole-text reference, atomically (a run's files together), in the mode
+``open(path, "w")`` gives and without ever holding a whole file's text."""
 
 import json
 import os
@@ -115,11 +115,11 @@ def failing_errors_table():
 def test_failure_partway_leaves_no_file(tmp_path):
     target = tmp_path / "t_errors.json"
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._atomic_write(target, cli._error_chunks(failing_errors_table(), "json"))
+        cli._atomic_write([(target, cli._error_chunks(failing_errors_table(), "json"))])
     assert list(tmp_path.iterdir()) == []
     target.write_bytes(b"an earlier run\n")
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._atomic_write(target, cli._error_chunks(failing_errors_table(), "json"))
+        cli._atomic_write([(target, cli._error_chunks(failing_errors_table(), "json"))])
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_bytes() == b"an earlier run\n"
 
@@ -131,7 +131,7 @@ def test_failure_partway_through_a_run_is_a_schema_error(tmp_path, capsys, monke
     )
     assert main(["run", scenario]) == EXIT_OK
     capsys.readouterr()
-    before = {path.name: path.read_bytes() for path in outdir.iterdir()}
+    before = {path.name: (path.read_bytes(), path.stat().st_ino) for path in outdir.iterdir()}
     compare_batch = cli._compare_batch
 
     def poisoned(*args):
@@ -142,8 +142,10 @@ def test_failure_partway_through_a_run_is_a_schema_error(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "_compare_batch", poisoned)
     assert main(["run", scenario]) == EXIT_SCHEMA
     assert capsys.readouterr() == ("", "Out of range float values are not JSON compliant\n")
-    assert sorted(path.name for path in outdir.iterdir()) == sorted(before)
-    assert (outdir / "t_errors.json").read_bytes() == before["t_errors.json"]
+    # the errors file fails after the trajectory file was written: no file is
+    # replaced, so the earlier run's files stay together, each the same file
+    after = {path.name: (path.read_bytes(), path.stat().st_ino) for path in outdir.iterdir()}
+    assert after == before
 
 
 def tabulated_order4(outdir, horizon):
@@ -185,7 +187,9 @@ def test_writing_a_long_run_holds_no_whole_file(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "out" / "long_resolved.json").stat().st_size > 7 * 2**20
-    assert peak - then_trace.start <= 2 * 2**20
+    # the + 0.0 copies of the six float columns (about 0.96 MB) are made
+    # file by file, as each is written, not all when the writing starts
+    assert peak - then_trace.start <= 1.1 * 2**20
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])

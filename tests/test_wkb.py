@@ -15,6 +15,7 @@ from wkbrec import (
     ComponentVector,
     DegenerateRoots,
     NoConvergence,
+    RecurrenceError,
     RecurrenceSpec,
     RiccatiBranch,
     RootFrame,
@@ -41,6 +42,14 @@ from wkbrec import (
 from wkbrec.roots import DEFAULT_ROOT_TOL, _root_table
 from conftest import complex_array, constant_spec, sin_family
 from test_array_drivers import squeeze_spec
+from test_batch import (
+    INITIAL,
+    assert_same_table,
+    cube_roots,
+    root_pass_failure,
+    setup_failure,
+    shrinking_roots,
+)
 from test_root_frames import near_tie_spec
 
 
@@ -406,6 +415,42 @@ def test_riccati_values_are_pinned(request, make, failure):
         assert info.value.k == 4
 
 
+@pytest.mark.parametrize(
+    "methods, named",
+    [
+        (
+            ["riccati", "wkb-general", "gauge-exact", "direct"],
+            ["riccati", "riccati", "gauge-exact", "riccati"],
+        ),
+        (
+            ["wkb-general", "gauge-exact", "riccati", "direct"],
+            ["riccati", "wkb-general", "gauge-exact", "wkb-general"],
+        ),
+    ],
+    ids=["riccati-first", "riccati-last"],
+)
+def test_several_failing_problems_in_one_batch_each_fail_as_alone(methods, named):
+    # four problems failing in other stages (riccati's ratios; riccati's
+    # start or the power start; gauge-exact's steps at k=5; the root pass at
+    # k=3, charged to wkb-general unless riccati's values break first)
+    # between five good ones: each batched stage computes the failing
+    # problems' rows too, and none of them is read
+    failing = [setup_failure(), cube_roots(1e-5), shrinking_roots(), root_pass_failure()]
+    good = [sin_family(e, 6) for e in (0.01, 0.02, 0.03, 0.04, 0.05)]
+    specs = [spec for pair in zip(good, failing) for spec in pair] + good[-1:]
+    outcomes = wkb._outcomes(specs, INITIAL, methods, DEFAULT_ROOT_TOL)
+    got = []
+    for spec, outcome in zip(specs, outcomes):
+        try:
+            want = compare_methods(spec, INITIAL, methods)
+        except RecurrenceError as exc:
+            assert (type(outcome), str(outcome), outcome.k) == (type(exc), str(exc), exc.k)
+            got.append(re.match(r"method '([^']+)'", str(exc))[1])
+        else:
+            assert_same_table(outcome, want)
+    assert got == named
+
+
 class TestOneRootTable:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_list_view_and_run_path_see_the_same_numbers(self, n, rng):
@@ -427,9 +472,8 @@ class TestOneRootTable:
         assert len(names) == (4 if n == 3 else 2)
         init = complex_array(rng, n)
         table = compare_methods(spec, init, names)
-        listed = np.array([f.roots for f in root_frames(spec)])
         for name in names:
-            got = wkb._METHODS[name].driver(spec, init, listed)
+            got = compare_methods(spec, init, [name]).values[name]
             assert np.array_equal(got, table.values[name]), name
 
 
