@@ -20,12 +20,12 @@ columns as they are, a complex one written as its ``[re, im]`` pairs.
 
 Each file is streamed: its text is formatted one block of ``_BLOCK`` array
 entries or table rows at a time and written as it is formatted, so no
-file's text is held whole.  The files of a run are written together: each
-file's text goes to a temporary file in the target's directory, and the
-temporary files replace their targets only once all are written, so a
-failure while they are written leaves every earlier file as it was.  A
-written file gets the mode ``open(path, "w")`` gives a new file
-(``0o666`` less the umask).
+file's text is held whole.  The files of a run are written together, each
+to a temporary file in the target's directory, so a failure while they are
+written leaves every earlier file as it was.  Then they replace their
+targets one ``os.replace`` at a time (POSIX has no multi-file rename), and a
+failure between two replacements leaves the earlier targets new.  A written
+file gets the mode ``open(path, "w")`` gives a new file (0o666 less umask).
 
 Exit codes: 0 success, 2 schema error, 3 numerical breakdown, 4 I/O error.
 Subcommands raise, and only :func:`main` reports a failure: one line on
@@ -69,9 +69,10 @@ _BLOCK = 4096
 
 def _atomic_write(files) -> None:
     """Write the text chunks of each (path, chunks) of ``files`` to a temporary
-    file in the path's existing directory, then replace every path by its
-    temporary file, in the mode ``open(path, "w")`` gives a new file.  A
-    failure while writing leaves every path as it was, and no temporary file."""
+    file in the path's existing directory, in the mode ``open(path, "w")``
+    gives a new file, then replace the paths one ``os.replace`` at a time.  A
+    failure while writing leaves every path as it was, one between two
+    replacements leaves the earlier paths new; neither leaves a temp file."""
     umask = os.umask(0)  # mkstemp's file is owner-only; reading the umask sets it
     os.umask(umask)
     temps = []

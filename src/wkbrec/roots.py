@@ -6,9 +6,9 @@ At each index k the frozen-coefficient characteristic polynomial
 
 has N complex roots.  :func:`_root_tables` finds them for index windows of
 several problems in one batched pass, as labelled ``(W, N)`` arrays per
-window (:func:`_root_table` is the pass over one window and
-:func:`root_frames` its list of frames).  It solves and checks each distinct
-row once (row k at 2 eps is row 2k at eps): simultaneous Aberth-Ehrlich
+window (:func:`root_frames` lists the frames of one window).  It solves and
+checks each distinct row once (row k at 2 eps is row 2k at eps, and every
+row of a constant window is one row): simultaneous Aberth-Ehrlich
 sweeps polish the eigenvalues of the companion matrices, or else the cold
 start of :func:`characteristic_roots`, and every root must then meet its
 residual bound.  Branch labels are carried along the window by matching each
@@ -211,9 +211,8 @@ def characteristic_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, seed=None) -> np
         if z.shape != (n,):
             raise ValueError(f"seed must supply {n} start values")
         z = _prepare_seed(z, 1.0 + float(np.max(np.abs(f))))
+    _check_tolerance(tol)
     z, unsettled = _polish(f[None], z[None])
-    if not unsettled[0]:  # a polish that did not settle fails before the tolerance is read
-        _check_tolerance(tol)
     _, [failure] = _residual_check(f[None], z, unsettled, tol)
     if failure is not None:
         raise failure
@@ -420,18 +419,17 @@ def _labelled(z, residuals, k_lo: int, stop: int, error):
 def _root_tables(spans, tol: float) -> list:
     """The batched pass of the module docstring for several spans ``(spec,
     k_lo, k_hi)`` of one order.  The distinct rows (by their bytes) of all
-    spans are solved and checked once: one ``eigvals`` call and one
-    :func:`_polish`, a second polish from :func:`_circle` of the rows that
-    did not settle, and one :func:`_residual_check`.  Each row stops on its
-    own data, so a span's roots do not depend on the spans beside it, and
-    rows of equal bytes share roots and verdict.  Spans only label them.
+    spans, one row for a constant window, are solved and checked once: one
+    ``eigvals`` call, one :func:`_polish`, a second one from :func:`_circle`
+    of the rows that did not settle, and one :func:`_residual_check`.  Rows
+    of equal bytes share roots and verdict; each row stops on its own data,
+    so a span's roots do not depend on the spans beside it.
 
     Returns, per span, the labelled ``(roots, residuals)`` ``(W, N)`` of the
     rows before its lowest failing index, and the error of that index (None
-    if no row fails), so that a failing span leaves the others whole.  The
-    failures are those of :func:`_root_table`; a root tolerance that is not
-    positive and finite is a ``ValueError`` of every nonempty span, which
-    then has no rows.
+    if no row fails; the failures of :func:`root_frames`), so that a failing
+    span leaves the others whole.  A root tolerance that is not positive and
+    finite is a ``ValueError`` of every nonempty span, which has no rows.
     """
     parts = []  # per span: its coefficient rows, the first non-finite one and its error
     for spec, k_lo, k_hi in spans:
@@ -453,12 +451,9 @@ def _root_tables(spans, tol: float) -> list:
         _check_tolerance(tol)
     except ValueError as exc:  # the error of every span with rows
         return [((rows[:0], rows[:0].real), exc if len(f) else error) for f, _, error in parts]
-    distinct, spread = rows, slice(None)
-    # a sweep's problems share rows; a lone span's rarely repeat, so skip the sort
-    if len(spans) > 1:
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-        distinct, spread = np.unique(keys, return_inverse=True)
-        distinct = distinct.view(complex).reshape(-1, rows.shape[1])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    distinct, spread = np.unique(keys, return_inverse=True)
+    distinct = distinct.view(complex).reshape(-1, rows.shape[1])
     z, unsettled = _polish(distinct, np.linalg.eigvals(_companion(distinct)))
     restart = np.flatnonzero(unsettled)
     if restart.size:  # rows are independent: these get the bits of characteristic_roots
@@ -476,25 +471,6 @@ def _root_tables(spans, tol: float) -> list:
     return tables
 
 
-def _root_table(spec: RecurrenceSpec, k_lo: int, k_hi: int, tol: float):
-    """Labelled roots and residuals for ``k = k_lo .. k_hi`` as two ``(W, N)``
-    arrays: the batched pass of the module docstring over one span, which
-    :func:`root_frames` lists frame by frame.
-
-    The first index outside the window raises :class:`IndexOutOfWindow`;
-    an empty range gives ``(0, N)`` arrays.  Rows whose polish does not
-    settle are polished again from :func:`_circle`.  Row 0 is
-    labelled by ascending real, then imaginary part.  A failure raises the
-    error of the lowest failing index with that index attached: a
-    non-finite coefficient row, a root residual above ``tol``
-    (:class:`NoConvergence`) or a tracking tie (:class:`AmbiguousTracking`).
-    """
-    labelled, error = _root_tables([(spec, k_lo, k_hi)], tol)[0]
-    if error is not None:
-        raise error
-    return labelled
-
-
 def root_frames(
     spec: RecurrenceSpec,
     k_lo: int | None = None,
@@ -503,8 +479,14 @@ def root_frames(
 ) -> list[RootFrame]:
     """Tracked root frames for ``k = k_lo .. k_hi`` (by default ``k_start ..
     k_start + horizon``, what one propagation pass needs), one per row of
-    :func:`_root_table`, which raises the errors."""
+    :func:`_root_tables` over this span.  Row 0 is labelled by ascending real,
+    then imaginary part.  Raises the error of the lowest failing index, with
+    that index: outside the window (:class:`IndexOutOfWindow`), a non-finite
+    coefficient row, a root residual above ``tol`` or an unsettled polish
+    (:class:`NoConvergence`), or a tracking tie (:class:`AmbiguousTracking`)."""
     k_lo = spec.k_start if k_lo is None else k_lo
     k_hi = spec.k_start + spec.horizon if k_hi is None else k_hi
-    roots, residuals = _root_table(spec, k_lo, k_hi, tol)
+    [((roots, residuals), error)] = _root_tables([(spec, k_lo, k_hi)], tol)
+    if error is not None:
+        raise error
     return [RootFrame(k_lo + t, roots[t], residuals[t]) for t in range(len(roots))]

@@ -3,10 +3,10 @@ recursion loop, one root pass and one chain.
 
 Each batched stage must give every member the bits it gets alone: a
 recursion member those of ``direct_solve``, a root-pass span those of
-``_root_table``, a problem the ``ComparisonTable`` of ``compare_methods``.
-A failure is charged to the problem (and method) that read it, and the
-first failing problem in order is the one reported, whatever stage each
-problem fails in.
+``_root_tables`` on that span alone, a problem the ``ComparisonTable`` of
+``compare_methods``.  A failure is charged to the problem (and method) that
+read it, and the first failing problem in order is the one reported,
+whatever stage each problem fails in.
 """
 
 import re
@@ -34,7 +34,7 @@ from wkbrec import (
 from wkbrec import roots as roots_module
 from wkbrec import wkb
 from wkbrec.core import _recur
-from wkbrec.roots import DEFAULT_ROOT_TOL, _root_table, _root_tables
+from wkbrec.roots import DEFAULT_ROOT_TOL, _root_tables
 from wkbrec.wkb import _compare_batch
 from conftest import constant_spec, sin_family
 from test_array_drivers import drifting_spec, squeeze_spec
@@ -96,9 +96,8 @@ def test_each_root_span_equals_its_pass_alone(n, seed, spans):
     specs = [drifting_spec(rng, n, rng.uniform(0.01, 0.2), False) for _ in spans]
     batch = _root_tables([(s, lo, lo + width) for s, (lo, width) in zip(specs, spans)], 1e-10)
     for spec, (lo, width), ((roots, residuals), error) in zip(specs, spans, batch):
-        try:
-            want_roots, want_residuals = _root_table(spec, lo, lo + width, 1e-10)
-        except RecurrenceError as want:
+        (want_roots, want_residuals), want = _root_tables([(spec, lo, lo + width)], 1e-10)[0]
+        if want is not None:
             assert (type(error), error.k, str(error)) == (type(want), want.k, str(want))
             continue
         assert error is None
@@ -113,7 +112,7 @@ def test_a_failing_span_keeps_its_rows_and_leaves_the_others_whole():
     bad = replace(good, coeffs=tuple(Tabulated(values=f[:, j], k_first=0) for j in range(3)))
     spans = [(good, 0, 20), (bad, 0, 20), (good, 0, 20)]
     (first, none), (rows, error), (last, _) = _root_tables(spans, DEFAULT_ROOT_TOL)
-    whole = _root_table(good, 0, 20, DEFAULT_ROOT_TOL)
+    whole, _ = _root_tables([(good, 0, 20)], DEFAULT_ROOT_TOL)[0]
     assert none is None
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, whole))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(last, whole))
@@ -127,7 +126,7 @@ def test_a_tie_keeps_the_rows_before_it():
     spec = near_tie_spec()
     [((roots, residuals), error)] = _root_tables([(spec, 0, spec.horizon)], DEFAULT_ROOT_TOL)
     assert (type(error), error.k) == (AmbiguousTracking, 4)
-    want = _root_table(spec, 0, 3, DEFAULT_ROOT_TOL)
+    want, _ = _root_tables([(spec, 0, 3)], DEFAULT_ROOT_TOL)[0]
     assert roots.tobytes() == want[0].tobytes()
     assert residuals.tobytes() == want[1].tobytes()
 
@@ -155,11 +154,10 @@ def shared_row_specs(eps):
 
 def assert_span_alone(span, got):
     """``got``, a span's result of ``_root_tables``, is that of
-    ``_root_table`` on the span alone: its bytes, or its error type and k."""
+    ``_root_tables`` on the span alone: its bytes, or its error type and k."""
     (roots, residuals), error = got
-    try:
-        want_roots, want_residuals = _root_table(*span, DEFAULT_ROOT_TOL)
-    except RecurrenceError as want:
+    (want_roots, want_residuals), want = _root_tables([span], DEFAULT_ROOT_TOL)[0]
+    if want is not None:
         assert (type(error), error.k, str(error)) == (type(want), want.k, str(want))
         return
     assert error is None
@@ -228,11 +226,11 @@ def test_residual_failures_of_shared_rows_equal_their_pass_alone():
     spans += [(specs["eps"], 3, 30), (specs["eps"], 2, 2)]
     errors = []
     for span, ((roots, residuals), error) in zip(spans, _root_tables(spans, tol)):
-        try:
-            want = _root_table(*span, tol)
-        except NoConvergence as exc:
-            assert (type(error), error.k, str(error)) == (type(exc), exc.k, str(exc))
-            assert roots.tobytes() == _root_table(span[0], span[1], exc.k - 1, tol)[0].tobytes()
+        want, exc = _root_tables([span], tol)[0]
+        if exc is not None:
+            assert (type(error), error.k, str(error)) == (NoConvergence, exc.k, str(exc))
+            cut = _root_tables([(span[0], span[1], exc.k - 1)], tol)[0][0]
+            assert roots.tobytes() == cut[0].tobytes()
             errors.append(error.k)
             continue
         assert error is None
@@ -501,6 +499,10 @@ def test_constant_problems_root_their_one_distinct_row(monkeypatch):
     eigvals, rows = np.linalg.eigvals, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or eigvals(a))
     tables = _compare_batch(specs, INITIAL, names)
+    assert rows == [1]
+    # a lone problem, one span, roots its one distinct row too
+    rows.clear()
+    compare_methods(specs[0], INITIAL, names)
     assert rows == [1]
     for spec, table in zip(specs, tables):
         assert_same_table(table, compare_methods(spec, INITIAL, names))

@@ -294,18 +294,33 @@ class TestFailures:
             with pytest.raises(ValueError, match="root tolerance must be positive and finite"):
                 call()
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan])
+    def test_root_tolerance_is_read_before_any_polish(self, tol, monkeypatch, cubic123_spec):
+        # one sweep cannot settle these roots, yet the tolerance is the error
+        monkeypatch.setattr(roots_module, "ABERTH_MAX_ITER", 1)
+        with pytest.raises(NoConvergence, match="no convergence within 1 iterations"):
+            characteristic_roots([-6.0, 11.0, -6.0])
+        for call in (
+            lambda: characteristic_roots([-6.0, 11.0, -6.0], tol=tol),
+            lambda: root_frames(cubic123_spec, tol=tol),
+        ):
+            with pytest.raises(ValueError, match="root tolerance must be positive and finite"):
+                call()
+
     def test_failed_fallback_names_its_index(self, monkeypatch):
         # every row is polished again from the circle start, and that second
-        # polish fails from the fourth row on; the rows before it are still
-        # labelled first
+        # polish fails on the rows of the fourth index on (the pass sorts its
+        # distinct rows, so they are found by their bytes); the rows before
+        # it are still labelled first
         spec = sin_family(epsilon=0.02, horizon=20, k_start=5)
+        late = {row.tobytes() for row in spec.table[3:21, :-1]}
         polish, calls = roots_module._polish, []
 
         def failing(f, z):
             z, unsettled = polish(f, z)
             calls.append(len(f))
             if len(calls) == 2:
-                unsettled[3:] = True
+                unsettled |= [row.tobytes() in late for row in f]
             return z, unsettled
 
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))

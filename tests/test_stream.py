@@ -148,6 +148,38 @@ def test_failure_partway_through_a_run_is_a_schema_error(tmp_path, capsys, monke
     assert after == before
 
 
+def test_a_failed_replacement_leaves_the_earlier_targets_new(tmp_path, capsys, monkeypatch):
+    # POSIX has no multi-file rename: the targets are replaced one at a time,
+    # so a failure between two replacements keeps the first one done
+    outdir = tmp_path / "out"
+    scenario = write_scenario(tmp_path / "t.json", order2_tabulated(outdir, [[1.0, 0.0]] * 20))
+    assert main(["run", scenario]) == EXIT_OK
+    before = {path.name: (path.read_bytes(), path.stat().st_ino) for path in outdir.iterdir()}
+    scenario = write_scenario(tmp_path / "t.json", order2_tabulated(outdir, [[2.0, 0.0]] * 20))
+    assert main(["run", scenario, "--output-dir", str(tmp_path / "clean")]) == EXIT_OK
+    capsys.readouterr()
+    replace, calls = os.replace, []
+
+    def failing(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError("replace refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    assert main(["run", scenario]) == cli.EXIT_IO
+    assert capsys.readouterr() == ("", "i/o error: replace refused\n")
+    after = {path.name: (path.read_bytes(), path.stat().st_ino) for path in outdir.iterdir()}
+    assert sorted(after) == sorted(before)
+    first = calls[0].name
+    assert first == "t_trajectory.json"
+    assert after[first][0] == (tmp_path / "clean" / first).read_bytes() != before[first][0]
+    assert after[first][1] != before[first][1]
+    assert {name: after[name] for name in after if name != first} == {
+        name: before[name] for name in before if name != first
+    }
+
+
 def tabulated_order4(outdir, horizon):
     """A tabulated order-4 scenario whose roots wobble on the unit circle."""
     rng = np.random.default_rng(4)

@@ -39,7 +39,7 @@ from wkbrec import (
     wkb_diagonal_gain,
     wkb_step_general,
 )
-from wkbrec.roots import DEFAULT_ROOT_TOL, _root_table
+from wkbrec.roots import DEFAULT_ROOT_TOL, _root_tables
 from conftest import complex_array, constant_spec, sin_family
 from test_array_drivers import squeeze_spec
 from test_batch import (
@@ -460,7 +460,7 @@ class TestOneRootTable:
             forcing=SinusoidalInEpsK(0.4, 0.2, epsilon=0.01),
         )
         frames = root_frames(spec, 9, 30)
-        roots, residuals = _root_table(spec, 9, 30, DEFAULT_ROOT_TOL)
+        [((roots, residuals), _)] = _root_tables([(spec, 9, 30)], DEFAULT_ROOT_TOL)
         assert np.array_equal(np.array([f.roots for f in frames]), roots)
         assert np.array_equal(np.array([f.residuals for f in frames]), residuals)
 
