@@ -21,11 +21,11 @@ columns as they are, a complex one written as its ``[re, im]`` pairs.
 Each file is streamed: its text is formatted one block of ``_BLOCK`` array
 entries or table rows at a time and written as it is formatted, so no
 file's text is held whole.  The files of a run are written together, each
-to a temporary file in the target's directory, so a failure while they are
-written leaves every earlier file as it was.  Then they replace their
-targets one ``os.replace`` at a time (POSIX has no multi-file rename), and a
-failure between two replacements leaves the earlier targets new.  A written
-file gets the mode ``open(path, "w")`` gives a new file (0o666 less umask).
+to a temporary file created exclusively beside its target, in the mode
+``open(path, "w")`` gives (0o666 less umask; the umask is never changed),
+so a failure while they are written leaves every earlier file as it was.
+Then they replace their targets one ``os.replace`` at a time (POSIX has no
+multi-file rename), and a failure between two leaves the earlier targets new.
 
 Exit codes: 0 success, 2 schema error, 3 numerical breakdown, 4 I/O error.
 Subcommands raise, and only :func:`main` reports a failure: one line on
@@ -39,7 +39,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from functools import cache, partial
 from pathlib import Path
 
@@ -69,20 +68,17 @@ _BLOCK = 4096
 
 def _atomic_write(files) -> None:
     """Write the text chunks of each (path, chunks) of ``files`` to a temporary
-    file in the path's existing directory, in the mode ``open(path, "w")``
-    gives a new file, then replace the paths one ``os.replace`` at a time.  A
-    failure while writing leaves every path as it was, one between two
-    replacements leaves the earlier paths new; neither leaves a temp file."""
-    umask = os.umask(0)  # mkstemp's file is owner-only; reading the umask sets it
-    os.umask(umask)
+    file created exclusively beside the path, in the mode ``open(path, "w")``
+    gives (the umask is never changed), then ``os.replace`` the paths one at
+    a time.  A failure while writing leaves every path as it was, one between
+    two replacements leaves the earlier paths new; neither leaves a temp file."""
     temps = []
     try:
         for path, chunks in files:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-            temps.append(tmp)
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
+                temps.append(tmp)
                 handle.writelines(chunks)
-            os.chmod(tmp, 0o666 & ~umask)
         for (path, _), tmp in zip(files, temps):
             os.replace(tmp, path)
     except BaseException:
@@ -141,10 +137,6 @@ def _json_chunks(payload):
     yield "\n"
 
 
-def _json_text(payload) -> str:
-    return "".join(_json_chunks(payload))
-
-
 def _csv(header: list[str], k, numbers: np.ndarray):
     """The chunks of a CSV table: ``header``, then one row per row of the
     floats ``numbers``, each written ``%.17g`` (of the number + 0.0, so -0.0
@@ -182,14 +174,6 @@ def _error_chunks(table: ComparisonTable, fmt: str):
         return
     header = ["k", *(f"{name}_relerr" for name in table.rel_errors)]
     yield from _csv(header, table.k, np.stack(list(table.rel_errors.values()), axis=1))
-
-
-def _trajectory_tables(table: ComparisonTable, fmt: str) -> str:
-    return "".join(_trajectory_chunks(table, fmt))
-
-
-def _error_tables(table: ComparisonTable, fmt: str) -> str:
-    return "".join(_error_chunks(table, fmt))
 
 
 def _sweep_chunks(result: SweepResult, fmt: str):

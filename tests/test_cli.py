@@ -779,7 +779,7 @@ class TestNonFiniteOutput:
         assert not outdir.exists()
 
     def test_json_tables_refuse_non_finite_numbers(self):
-        from wkbrec.cli import _error_tables
+        from wkbrec.cli import _error_chunks
         from wkbrec.wkb import ComparisonTable
 
         k = np.arange(2)
@@ -787,7 +787,7 @@ class TestNonFiniteOutput:
             k=k, oracle=np.ones(2), values={}, rel_errors={"direct": np.array([0.0, np.nan])}
         )
         with pytest.raises(ValueError):
-            _error_tables(table, "json")
+            "".join(_error_chunks(table, "json"))
 
 
 def test_resolved_file_is_pinned(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wkbrec import scenario as scenario_module
-from wkbrec.cli import EXIT_SCHEMA, _error_tables, _json_text, _trajectory_tables, main
+from wkbrec.cli import EXIT_SCHEMA, _error_chunks, _json_chunks, _trajectory_chunks, main
 from wkbrec.scenario import parse_complex, scenario_from_dict
 from wkbrec.wkb import ComparisonTable
 
@@ -21,6 +21,10 @@ HUGE = 10**400  # past the float range; json writes it as an int
 
 def reference_text(payload):
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def json_text(payload):
+    return "".join(_json_chunks(payload))
 
 
 def outcome(write, payload):
@@ -65,12 +69,12 @@ class TestJsonText:
     @example({"": {}, "é\n\"": [], "x": [None, "s", [1.5, "a"]]})
     @example([[HUGE, 1.0]])
     def test_matches_json_dumps(self, payload):
-        assert _json_text(payload) == reference_text(payload)
+        assert json_text(payload) == reference_text(payload)
 
     @settings(max_examples=300, deadline=None)
     @given(payloads(allow_nan=True))
     def test_non_finite_raises_like_json_dumps(self, payload):
-        assert outcome(_json_text, payload) == outcome(reference_text, payload)
+        assert outcome(json_text, payload) == outcome(reference_text, payload)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_at_any_depth_raises(self, bad):
@@ -83,11 +87,11 @@ class TestJsonText:
             {"a": [{"b": [1, "x", bad]}]},
         ):
             with pytest.raises(ValueError):
-                _json_text(payload)
+                json_text(payload)
 
     def test_numpy_scalars_are_written_as_json_writes_them(self):
         payload = {"x": [np.float64(0.1), 2.5], "y": [[np.float64(-0.0), 1.0]]}
-        assert _json_text(payload) == reference_text(payload)
+        assert json_text(payload) == reference_text(payload)
 
 
 INT64_EDGES = [2**63 - 1, -(2**63 - 1), -(2**63), 0, -1]
@@ -141,30 +145,30 @@ class TestArrayBranch:
     @given(array_payloads(float_arrays))
     @example({"x": np.array(EDGE_FLOATS), "y": [np.array([-0.0]), {"z": np.array([1e16])}]})
     def test_float_arrays_are_written_as_their_lists(self, payload):
-        assert _json_text(payload) == reference_text(listed(payload))
+        assert json_text(payload) == reference_text(listed(payload))
 
     @settings(max_examples=200, deadline=None)
     @given(array_payloads(int_arrays))
     @example({"k": np.array(INT64_EDGES, dtype=np.int64)})
     def test_int_arrays_are_written_as_their_lists(self, payload):
-        assert _json_text(payload) == reference_text(listed(payload))
+        assert json_text(payload) == reference_text(listed(payload))
 
     @settings(max_examples=200, deadline=None)
     @given(array_payloads(complex_arrays()))
     def test_complex_arrays_are_written_as_re_im_pairs(self, payload):
-        assert _json_text(payload) == reference_text(listed(payload))
+        assert json_text(payload) == reference_text(listed(payload))
 
     def test_strided_column_keeps_negative_zero(self):
         table = np.array([[1 - 0j, complex(-0.0, -0.0)], [5e-324j, 1.7e308 + 2j]])
         column = table[:, 1]
         assert not column.flags.c_contiguous
-        text = _json_text({"values": column})
+        text = json_text({"values": column})
         assert text == reference_text({"values": [[-0.0, -0.0], [1.7e308, 2.0]]})
 
     @pytest.mark.parametrize("dtype", [float, complex, np.int64])
     def test_empty_array_is_an_empty_list(self, dtype):
         payload = {"a": np.array([], dtype=dtype), "b": [np.array([], dtype=dtype)]}
-        assert _json_text(payload) == reference_text({"a": [], "b": [[]]})
+        assert json_text(payload) == reference_text({"a": [], "b": [[]]})
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -186,7 +190,7 @@ class TestArrayBranch:
             array.real[where % array.size] = bad
         for payload in (array, {"a": [1, {"b": array}]}):
             with pytest.raises(ValueError):
-                _json_text(payload)
+                json_text(payload)
             with pytest.raises(ValueError):
                 reference_text(listed(payload))
 
@@ -203,16 +207,17 @@ class TestTableFormatters:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_negative_zero_is_written_as_zero(self, fmt):
         table = self.table()
-        for text in (_trajectory_tables(table, fmt), _error_tables(table, fmt)):
+        for text in ("".join(_trajectory_chunks(table, fmt)), "".join(_error_chunks(table, fmt))):
             assert "-0" not in text
 
     def test_csv_prints_17_significant_digits(self):
-        text = _trajectory_tables(self.table(), "csv")
+        text = "".join(_trajectory_chunks(self.table(), "csv"))
         assert text.splitlines() == ["k,direct_re,direct_im", "0,0,0", "1,1.5,0", "2,0,2"]
-        assert _error_tables(self.table(), "csv").splitlines()[3] == "2,1.0000000000000001e-17"
+        errors = "".join(_error_chunks(self.table(), "csv"))
+        assert errors.splitlines()[3] == "2,1.0000000000000001e-17"
 
     def test_json_tables_parse_back_exactly(self):
-        data = json.loads(_trajectory_tables(self.table(), "json"))
+        data = json.loads("".join(_trajectory_chunks(self.table(), "json")))
         direct = {"re": [0.0, 1.5, 0.0], "im": [0.0, 0.0, 2.0]}
         assert data == {"k": [0, 1, 2], "methods": {"direct": direct}}
 

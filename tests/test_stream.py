@@ -13,7 +13,7 @@ import pytest
 
 from test_cli import sweep_scenario, write_scenario
 from wkbrec import cli
-from wkbrec.cli import EXIT_OK, EXIT_SCHEMA, _csv, _json_text, main
+from wkbrec.cli import EXIT_OK, EXIT_SCHEMA, _csv, _json_chunks, main
 from wkbrec.wkb import ComparisonTable
 
 B = cli._BLOCK
@@ -44,18 +44,22 @@ def reference_text(payload):
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def json_text(payload):
+    return "".join(_json_chunks(payload))
+
+
 @pytest.mark.parametrize("n", LENGTHS)
 @pytest.mark.parametrize("dtype", [np.int64, float, complex])
 def test_json_at_block_edges_matches_json_dumps(dtype, n):
     array = column(dtype, n)
     payload = {"a": array, "b": [array, {"c": array}, 7]}
     expected = {"a": listed(array), "b": [listed(array), {"c": listed(array)}, 7]}
-    assert _json_text(payload) == reference_text(expected)
-    assert _json_text([array]) == reference_text([listed(array)])
+    assert json_text(payload) == reference_text(expected)
+    assert json_text([array]) == reference_text([listed(array)])
 
 
 def test_edge_numbers_sit_at_the_block_edge():
-    text = _json_text(column(float, B + 3))
+    text = json_text(column(float, B + 3))
     assert text.splitlines()[B : B + 3] == ["  -0.0,", "  5e-324,", "  1e+16,"]
 
 
@@ -239,3 +243,37 @@ def test_written_files_get_the_mode_of_a_new_file(tmp_path, umask):
                      "sw_trajectory.csv"]
     for path in outdir.iterdir():
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
+def test_the_writer_leaves_the_umask_and_modes_alone(tmp_path, monkeypatch):
+    scenario = write_scenario(tmp_path / "sw.json", sweep_scenario(tmp_path / "out"))
+    assert main(["run", scenario, "--output-dir", str(tmp_path / "clean")]) == EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("the writer set the umask or a mode")
+
+    monkeypatch.setattr(cli.os, "umask", refuse)
+    monkeypatch.setattr(cli.os, "chmod", refuse)
+    assert main(["run", scenario]) == EXIT_OK
+    written = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    assert written == {path.name: path.read_bytes() for path in (tmp_path / "clean").iterdir()}
+
+
+def test_a_taken_temporary_name_is_an_io_error_that_removes_nothing_else(
+    tmp_path, capsys, monkeypatch
+):
+    outdir = tmp_path / "out"
+    scenario = write_scenario(tmp_path / "sw.json", sweep_scenario(outdir))
+    assert main(["run", scenario]) == EXIT_OK
+    capsys.readouterr()
+    before = {path.name: (path.read_bytes(), path.stat().st_ino) for path in outdir.iterdir()}
+    # every temporary name gets the same suffix, and the errors file's is taken
+    monkeypatch.setattr(cli.os, "urandom", lambda n: bytes(n))
+    taken = outdir / f"sw_errors.csv.{bytes(8).hex()}.tmp"
+    taken.write_bytes(b"another writer's file\n")
+    before[taken.name] = (taken.read_bytes(), taken.stat().st_ino)
+    assert main(["run", scenario]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error: [Errno 17] File exists")
+    # the taken file, the earlier targets and nothing else: no other *.tmp
+    after = {path.name: (path.read_bytes(), path.stat().st_ino) for path in outdir.iterdir()}
+    assert after == before
