@@ -27,6 +27,21 @@ so a failure while they are written leaves every earlier file as it was.
 Then they replace their targets one ``os.replace`` at a time (POSIX has no
 multi-file rename), and a failure between two leaves the earlier targets new.
 
+A ``run`` whose coefficient table has more than ``_BLOCK`` rows, on a
+platform with ``os.fork``, overlaps the resolved file with the computation:
+the resolved file depends on the scenario alone, so right after loading it
+the parent creates that file's temporary file and forks a child that
+formats the text into it, while the parent runs the batch and writes the
+other files; the parent reaps the child before any target is replaced.  The
+child is fork-safe although numpy's BLAS may have started threads (the
+question Python 3.12's fork ``DeprecationWarning`` asks): it calls no BLAS
+routine, takes no lock another thread may hold, and ends with ``os._exit``.
+The parent owns every failure: when the fork or the child fails it writes
+the resolved file itself, and when it fails itself it ends and reaps the
+child and removes its temporary file, so the bytes, messages and exit codes
+are those of the unforked path.  Shorter runs and ``sweep`` do not fork:
+the fork costs more than it saves on them.
+
 Exit codes: 0 success, 2 schema error, 3 numerical breakdown, 4 I/O error.
 Subcommands raise, and only :func:`main` reports a failure: one line on
 stderr, except that ``validate`` lists its diagnostics on stdout.
@@ -38,7 +53,10 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
+import warnings
+from contextlib import suppress
 from functools import cache, partial
 from pathlib import Path
 
@@ -66,23 +84,92 @@ _ARRAY_DTYPES = {np.dtype(np.int64), np.dtype(float), np.dtype(complex)}
 _BLOCK = 4096
 
 
-def _atomic_write(files) -> None:
-    """Write the text chunks of each (path, chunks) of ``files`` to a temporary
-    file created exclusively beside the path, in the mode ``open(path, "w")``
-    gives (the umask is never changed), then ``os.replace`` the paths one at
-    a time.  A failure while writing leaves every path as it was, one between
-    two replacements leaves the earlier paths new; neither leaves a temp file."""
-    temps = []
+def _create(path: Path):
+    """A temporary file created exclusively beside ``path``, in the mode
+    ``open(path, "w")`` gives (the umask is never changed): its path and its
+    open text handle."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    return tmp, open(tmp, "x", encoding="utf-8", newline="\n")
+
+
+class _ForkedWriter:
+    """One file's chunks of text written to its temporary file (see
+    :func:`_create`) by a forked child while the parent computes; the module
+    docstring says when this runs and why the child is safe.
+
+    The child writes through the handle it inherits and ends with
+    ``os._exit``: 0 once the text is written, 1 on any failure.  So it never
+    returns into the caller's handlers, ``finally`` blocks or ``atexit``,
+    and flushes none of the parent's buffers.  :meth:`join` writes the file
+    in the parent when the fork or the child failed; :meth:`discard` ends
+    and reaps a child not yet reaped and removes the temporary file."""
+
+    def __init__(self, path: Path, chunks):
+        self.path, self.chunks = path, chunks
+        self.tmp, handle = _create(path)
+        with handle:
+            try:
+                # the warning that a process with threads forks: the module
+                # docstring says why this child is safe
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    self.pid = os.fork()
+            except OSError:  # no child: join writes the file
+                self.pid = None
+                return
+            if self.pid == 0:
+                code = 1
+                try:
+                    handle.writelines(chunks)
+                    handle.close()
+                    code = 0
+                finally:
+                    os._exit(code)
+
+    def join(self) -> Path:
+        """Reap the child; the temporary file, written here anew unless the
+        child wrote it whole."""
+        failed = self.pid is None or os.waitpid(self.pid, 0)[1] != 0
+        self.pid = None
+        if failed:
+            os.unlink(self.tmp)
+            self.tmp, handle = _create(self.path)
+            with handle:
+                handle.writelines(self.chunks)
+        return self.tmp
+
+    def discard(self) -> None:
+        """End and reap the child unless reaped, and remove the temporary file."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if os.path.exists(self.tmp):
+            os.unlink(self.tmp)
+
+
+def _atomic_write(files, forked: _ForkedWriter | None = None) -> None:
+    """Write the text chunks of each (path, chunks) of ``files`` to a
+    temporary file (see :func:`_create`), then ``os.replace`` the paths one
+    at a time; ``forked`` writes the temporary file of its own path, reaped
+    once the others are written.  A failure while writing leaves every path
+    as it was, one between two replacements leaves the earlier paths new;
+    neither leaves a temp file or a child."""
+    temps = {}
     try:
         for path, chunks in files:
-            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-            with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
-                temps.append(tmp)
-                handle.writelines(chunks)
-        for (path, _), tmp in zip(files, temps):
-            os.replace(tmp, path)
+            if forked is None or path != forked.path:
+                temps[path], handle = _create(path)
+                with handle:
+                    handle.writelines(chunks)
+        if forked is not None:
+            temps[forked.path] = forked.join()
+        for path, _ in files:
+            os.replace(temps[path], path)
     except BaseException:
-        for tmp in temps:
+        if forked is not None:
+            forked.discard()
+        for tmp in temps.values():
             if os.path.exists(tmp):
                 os.unlink(tmp)
         raise
@@ -193,7 +280,9 @@ def _cmd_validate(args) -> int:
 
 def _execute(args, sweep_only: bool) -> int:
     """``run`` and ``sweep``: load, compute everything, then write the
-    files together, each as it is formatted, block by block."""
+    files together, each as it is formatted, block by block; a long
+    ``run`` writes its resolved file in a forked child meanwhile (see the
+    module docstring)."""
     stem = Path(args.scenario).stem
     scenario = load_scenario(args.scenario)
     spec, initial, methods = scenario.spec, scenario.initial, scenario.methods
@@ -206,29 +295,46 @@ def _execute(args, sweep_only: bool) -> int:
     if sweep_only and not epsilons:
         missing = "no sweep values: scenario has no 'epsilon_sweep' and no --epsilons given"
         raise ScenarioError([missing])
-    # one batch: the run's own problem first, then the sweep's
-    own = [] if sweep_only else [spec]
-    tables = _compare_batch([*own, *problems], initial, methods, args.tolerance)
-    table = tables[0] if own else None
-    sweep = _sweep_result(epsilons, tables[len(own) :], methods) if epsilons else None
-    if table is not None:  # the resolved file tabulates N indices past the horizon
-        _check_finite(spec.table, spec.k_start + np.arange(len(spec.table)), "coefficient table")
-
     outdir = Path(args.output_dir) if args.output_dir else Path(scenario.output_path)
     fmt = args.format if args.format else scenario.output_format
-    files = []  # (file name, its chunks of text) in writing order
+    forked = None
+    if not sweep_only:
+        resolved = (outdir / f"{stem}_resolved.json", _json_chunks(_resolved_payload(scenario)))
+        if len(spec.table) > _BLOCK and hasattr(os, "fork"):
+            made = [path for path in (outdir, *outdir.parents) if not path.exists()]
+            outdir.mkdir(parents=True, exist_ok=True)
+            forked = _ForkedWriter(*resolved)
+    try:
+        # one batch: the run's own problem first, then the sweep's
+        own = [] if sweep_only else [spec]
+        tables = _compare_batch([*own, *problems], initial, methods, args.tolerance)
+        table = tables[0] if own else None
+        sweep = _sweep_result(epsilons, tables[len(own) :], methods) if epsilons else None
+        if table is not None:  # the resolved file tabulates N indices past the horizon
+            ks = spec.k_start + np.arange(len(spec.table))
+            _check_finite(spec.table, ks, "coefficient table")
+    except BaseException:
+        if forked is not None:  # as without a child: no file, child or new directory
+            forked.discard()
+            for path in made:
+                with suppress(OSError):
+                    path.rmdir()
+        raise
+
+    files = []  # (path, its chunks of text) in writing order
     if table is not None:
         files += [
-            (f"{stem}_trajectory.{fmt}", _trajectory_chunks(table, fmt)),
-            (f"{stem}_errors.{fmt}", _error_chunks(table, fmt)),
-            (f"{stem}_resolved.json", _json_chunks(_resolved_payload(scenario))),
+            (outdir / f"{stem}_trajectory.{fmt}", _trajectory_chunks(table, fmt)),
+            (outdir / f"{stem}_errors.{fmt}", _error_chunks(table, fmt)),
+            resolved,
         ]
     if sweep is not None:
-        files.append((f"{stem}_sweep.{fmt}", _sweep_chunks(sweep, fmt)))
-    outdir.mkdir(parents=True, exist_ok=True)
-    _atomic_write([(outdir / name, chunks) for name, chunks in files])
+        files.append((outdir / f"{stem}_sweep.{fmt}", _sweep_chunks(sweep, fmt)))
+    if forked is None:
+        outdir.mkdir(parents=True, exist_ok=True)
+    _atomic_write(files, forked)
     # ``run`` names its two tables, ``sweep`` its one
-    named = [name for name, _ in files[: 1 if sweep_only else 2]]
+    named = [path.name for path, _ in files[: 1 if sweep_only else 2]]
     print(f"wrote {', '.join(named)} to {outdir}")
     return EXIT_OK
 
@@ -299,6 +405,17 @@ def _finite_number(allow_zero: bool):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type: a nonnegative integer, as numpy's generator takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 @cache  # one parser per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -345,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="emit a random well-posed scenario")
     p_gen.add_argument("--order", type=int, default=3)
     p_gen.add_argument("--horizon", type=int, default=100)
-    p_gen.add_argument("--seed", type=int, default=0, help="RNG seed for generation")
+    p_gen.add_argument("--seed", type=_seed, default=0, help="RNG seed for generation")
     p_gen.add_argument("--out", default=None, help="write to a file instead of stdout")
     p_gen.set_defaults(func=_cmd_generate)
 

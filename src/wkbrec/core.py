@@ -215,7 +215,10 @@ class RecurrenceSpec:
         lo, hi = self.window
         if lo < -(2**63) or hi >= 2**63:
             raise ValueError(f"the index window [{lo}, {hi}] must fit in int64")
-        table = np.empty((hi - lo + 1, self.order + 1), dtype=complex)
+        try:
+            table = np.empty((hi - lo + 1, self.order + 1), dtype=complex)
+        except (MemoryError, ValueError):  # numpy refuses the shape, or memory runs out
+            raise ValueError(f"the index window [{lo}, {hi}] is too long to tabulate") from None
         for j, model in enumerate((*self.coeffs, self.forcing)):
             table[:, j] = model.sample(lo, hi)
         table.flags.writeable = False

@@ -655,6 +655,15 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "'order' must be in [2, 8], got 9\n")
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_seed_must_be_a_nonnegative_integer(self, capsys, seed):
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--seed", seed])
+        assert info.value.code == EXIT_SCHEMA
+        assert capsys.readouterr().err.endswith(
+            f"argument --seed: must be a nonnegative integer, got {seed!r}\n"
+        )
+
     def test_seed_changes_draw(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["generate", "--seed", "1", "--out", str(a)])
@@ -914,6 +923,31 @@ class TestIndexWindow:
         assert capsys.readouterr().out == line
         assert main(["run", scenario]) == EXIT_SCHEMA
         assert capsys.readouterr().err == line
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("horizon", [2**62, 2**40])
+    def test_window_too_long_to_tabulate_is_a_schema_error(
+        self, tmp_path, capsys, monkeypatch, horizon
+    ):
+        # numpy refuses a 2**62-row table by its shape; a 2**40-row one
+        # (64 TiB) would be refused by the allocator, so that refusal is
+        # patched in rather than tried
+        empty = np.empty
+
+        def refusing(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[0] > 2**32:
+                raise MemoryError("cannot allocate the table")
+            return empty(shape, *args, **kwargs)
+
+        if horizon < 2**62:
+            monkeypatch.setattr(np, "empty", refusing)
+        outdir = tmp_path / "out"
+        scenario = write_scenario(tmp_path / "w.json", readme_window(outdir, 0, horizon))
+        line = f"the index window [0, {horizon + 3}] is too long to tabulate\n"
+        assert main(["validate", scenario]) == EXIT_SCHEMA
+        assert capsys.readouterr() == (line, "")
+        assert main(["run", scenario]) == EXIT_SCHEMA
+        assert capsys.readouterr() == ("", line)
         assert not outdir.exists()
 
     @pytest.mark.parametrize("k_start", [2**63 - 1 - 23, -(2**63)])

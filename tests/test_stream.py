@@ -3,6 +3,7 @@
 whole-text reference, atomically (a run's files together), in the mode
 ``open(path, "w")`` gives and without ever holding a whole file's text."""
 
+import errno
 import json
 import os
 import stat
@@ -13,7 +14,8 @@ import pytest
 
 from test_cli import sweep_scenario, write_scenario
 from wkbrec import cli
-from wkbrec.cli import EXIT_OK, EXIT_SCHEMA, _csv, _json_chunks, main
+from wkbrec.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, _csv, _json_chunks, main
+from wkbrec.errors import Breakdown
 from wkbrec.wkb import ComparisonTable
 
 B = cli._BLOCK
@@ -228,6 +230,13 @@ def test_writing_a_long_run_holds_no_whole_file(tmp_path, monkeypatch):
     assert peak - then_trace.start <= 1.1 * 2**20
 
 
+def test_writing_a_long_run_without_fork_holds_no_whole_file(tmp_path, monkeypatch):
+    # the run above writes its 7 MB resolved file in a forked child; without
+    # os.fork the parent writes it, block by block as well
+    monkeypatch.delattr(os, "fork")
+    test_writing_a_long_run_holds_no_whole_file(tmp_path, monkeypatch)
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
 def test_written_files_get_the_mode_of_a_new_file(tmp_path, umask):
     outdir = tmp_path / "out"
@@ -277,3 +286,136 @@ def test_a_taken_temporary_name_is_an_io_error_that_removes_nothing_else(
     # the taken file, the earlier targets and nothing else: no other *.tmp
     after = {path.name: (path.read_bytes(), path.stat().st_ino) for path in outdir.iterdir()}
     assert after == before
+
+
+def forking_run(tmp_path, outdir):
+    """A unit-modulus tabulated run whose table has more than ``B`` rows, so
+    that ``run`` writes its resolved file in a forked child."""
+    data = order2_tabulated(outdir, [[1.0, 0.0]] * (B + 13))
+    return write_scenario(tmp_path / "long.json", data), data
+
+
+def files(outdir):
+    return {path.name: (path.read_bytes(), path.stat().st_ino) for path in outdir.iterdir()}
+
+
+def contents(outdir):
+    return {path.name: path.read_bytes() for path in outdir.iterdir()}
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_forked_writer_writes_the_bytes_of_the_inline_path(tmp_path, monkeypatch):
+    scenario, _ = forking_run(tmp_path, tmp_path / "out")
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert main(["run", scenario]) == EXIT_OK
+    assert len(forks) == 1
+    assert_no_child()
+    monkeypatch.delattr(os, "fork")
+    assert main(["run", scenario, "--output-dir", str(tmp_path / "inline")]) == EXIT_OK
+    written = contents(tmp_path / "out")
+    assert sorted(written) == ["long_errors.json", "long_resolved.json", "long_trajectory.json"]
+    assert written == contents(tmp_path / "inline")
+
+
+@pytest.mark.parametrize("failure", ["child", "fork"])
+def test_the_parent_writes_the_file_a_failed_child_or_fork_did_not(
+    tmp_path, capsys, monkeypatch, failure
+):
+    scenario, _ = forking_run(tmp_path, tmp_path / "out")
+    with monkeypatch.context() as inline:
+        inline.delattr(os, "fork")
+        assert main(["run", scenario, "--output-dir", str(tmp_path / "inline")]) == EXIT_OK
+    capsys.readouterr()
+    fork, waitpid, statuses = os.fork, os.waitpid, []
+
+    def failing():
+        if failure == "fork":
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        pid = fork()
+        if pid == 0:  # in the child alone, the JSON formatter is gone
+            cli._emit = None
+        return pid
+
+    def recorded(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    monkeypatch.setattr(os, "fork", failing)
+    monkeypatch.setattr(os, "waitpid", recorded)
+    assert main(["run", scenario]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert statuses == ([1] if failure == "child" else [])
+    monkeypatch.undo()
+    assert_no_child()
+    assert contents(tmp_path / "out") == contents(tmp_path / "inline")
+
+
+def test_a_breakdown_in_the_batch_leaves_no_child_and_no_file(tmp_path, capsys, monkeypatch):
+    def breaking(*args):
+        raise Breakdown("method 'direct': non-finite value", k=7)
+
+    line = "numerical breakdown: method 'direct': non-finite value at index k=7\n"
+    # an earlier run's files stay as they were, and no temporary file is left
+    outdir = tmp_path / "out"
+    scenario, _ = forking_run(tmp_path, outdir)
+    assert main(["run", scenario]) == EXIT_OK
+    capsys.readouterr()
+    before = files(outdir)
+    monkeypatch.setattr(cli, "_compare_batch", breaking)
+    assert main(["run", scenario]) == EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", line)
+    assert_no_child()
+    assert files(outdir) == before
+    # and a directory the run made for its files is gone again
+    fresh = tmp_path / "missing" / "nested"
+    assert main(["run", scenario, "--output-dir", str(fresh)]) == EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", line)
+    assert_no_child()
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_taken_temporary_name_of_the_forked_file_removes_no_file(tmp_path, capsys, monkeypatch):
+    outdir = tmp_path / "out"
+    scenario, _ = forking_run(tmp_path, outdir)
+    assert main(["run", scenario]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(cli.os, "urandom", lambda n: bytes(n))
+    taken = outdir / f"long_resolved.json.{bytes(8).hex()}.tmp"
+    taken.write_bytes(b"another writer's file\n")
+    before = files(outdir)
+    assert main(["run", scenario]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error: [Errno 17] File exists")
+    assert_no_child()
+    assert files(outdir) == before
+
+
+def test_a_non_finite_row_past_the_horizon_of_a_forking_run_is_a_breakdown(tmp_path, capsys):
+    # f[1] = -1 + 1e-320 * eps * k is within 2e-12 of -1 up to the horizon
+    # H and NaN from H + 1 on, where eps * k overflows
+    outdir = tmp_path / "out"
+    _, data = forking_run(tmp_path, outdir)
+    horizon = data["horizon"]
+    data["coefficients"][1] = {
+        "variant": "polynomial",
+        "coeffs": ["-1", "1e-320"],
+        "epsilon": np.finfo(float).max / (horizon + 0.5),
+    }
+    scenario = write_scenario(tmp_path / "long.json", data)
+    assert main(["run", scenario]) == EXIT_NUMERICAL
+    assert capsys.readouterr() == (
+        "",
+        f"numerical breakdown: coefficient table: non-finite value at index k={horizon + 1}\n",
+    )
+    assert_no_child()
+    assert not outdir.exists()
