@@ -33,9 +33,12 @@ the resolved file depends on the scenario alone, so right after loading it
 the parent creates that file's temporary file and forks a child that
 formats the text into it, while the parent runs the batch and writes the
 other files; the parent reaps the child before any target is replaced.  The
-child is fork-safe although numpy's BLAS may have started threads (the
-question Python 3.12's fork ``DeprecationWarning`` asks): it calls no BLAS
-routine, takes no lock another thread may hold, and ends with ``os._exit``.
+child is fork-safe although numpy's BLAS and the root pass's worker thread
+(see :mod:`wkbrec.roots`) may have started threads (the question Python
+3.12's fork ``DeprecationWarning`` asks): it calls no BLAS routine and roots
+nothing, takes no lock another thread may hold, and ends with ``os._exit``.
+A forked child never hands work to the parent's root worker, which it does
+not have: one that roots starts its own.
 The parent owns every failure: when the fork or the child fails it writes
 the resolved file itself, and when it fails itself it ends and reaps the
 child and removes its temporary file, so the bytes, messages and exit codes
@@ -44,7 +47,11 @@ the fork costs more than it saves on them.
 
 Exit codes: 0 success, 2 schema error, 3 numerical breakdown, 4 I/O error.
 Subcommands raise, and only :func:`main` reports a failure: one line on
-stderr, except that ``validate`` lists its diagnostics on stdout.
+stderr, except that ``validate`` lists its diagnostics on stdout.  A reader
+that closes standard output early (``wkbrec generate | head -3``) is not an
+I/O error: the rest of the text is dropped, nothing is printed on stderr,
+and the exit code is the one the command had otherwise (0 for ``generate``
+and ``run``, whose files are all in place).
 """
 
 from __future__ import annotations
@@ -273,6 +280,23 @@ def _sweep_chunks(result: SweepResult, fmt: str):
     yield from _csv(header, None, np.column_stack((epsilons, *errors.values())))
 
 
+def _to_stdout(chunks) -> None:
+    """Write the text ``chunks`` to standard output and flush it.  A reader
+    that closed the pipe early is not an error of the program: the rest of
+    the text is dropped, and standard output is pointed at ``os.devnull`` so
+    that the interpreter's final flush does not fail again.  A process
+    started without standard output drops the text, as ``print`` does."""
+    if sys.stdout is None:
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_validate(args) -> int:
     load_scenario(args.scenario)
     return EXIT_OK
@@ -335,7 +359,7 @@ def _execute(args, sweep_only: bool) -> int:
     _atomic_write(files, forked)
     # ``run`` names its two tables, ``sweep`` its one
     named = [path.name for path, _ in files[: 1 if sweep_only else 2]]
-    print(f"wrote {', '.join(named)} to {outdir}")
+    _to_stdout([f"wrote {', '.join(named)} to {outdir}\n"])
     return EXIT_OK
 
 
@@ -385,7 +409,7 @@ def _cmd_generate(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write([(out, _json_chunks(data))])
     else:
-        sys.stdout.writelines(_json_chunks(data))
+        _to_stdout(_json_chunks(data))
     return EXIT_OK
 
 
@@ -475,9 +499,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ScenarioError as exc:
-        stream = sys.stdout if args.command == "validate" else sys.stderr
-        for line in exc.diagnostics:
-            print(line, file=stream)
+        lines = [line + "\n" for line in exc.diagnostics]
+        if args.command == "validate":
+            _to_stdout(lines)
+        else:
+            sys.stderr.writelines(lines)
         return EXIT_SCHEMA
     except RecurrenceError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)

@@ -11,10 +11,14 @@ checks each distinct row once (row k at 2 eps is row 2k at eps, and every
 row of a constant window is one row): simultaneous Aberth-Ehrlich
 sweeps polish the eigenvalues of the companion matrices, or else the cold
 start of :func:`characteristic_roots`, and every root must then meet its
-residual bound.  Branch labels are carried along the window by matching each
-unordered root set to the one before it (a certified nearest-root match, or
-the exact search over all permutations when the certificate fails) and
-composing those matches.
+residual bound.  The companion stack is rooted in two halves at once
+(:func:`_eigvals`): the first on the calling thread, the second on one
+persistent worker thread, so the halves run on two cores while numpy's
+LAPACK call releases the GIL.  Each matrix's eigenvalues depend on that
+matrix alone, so the bits are those of one ``eigvals`` call.  Branch labels
+are carried along the window by matching each unordered root set to the one
+before it (a certified nearest-root match, or the exact search over all
+permutations when the certificate fails) and composing those matches.
 
 The module also builds the power gauge ``g[m,n,k] = rho[n,k]**m`` whose
 stacked matrix is the Vandermonde matrix of the roots, and provides that
@@ -27,6 +31,9 @@ check and the tie check with the batched pass.
 from __future__ import annotations
 
 import itertools
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -364,6 +371,59 @@ def _polish(f: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, unsettled
 
 
+# the job queue of the thread that roots the second half of each stack, made
+# on first use; a forked child forgets its parent's, which it does not have
+_worker: queue.SimpleQueue | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The worker: root each stack it is handed and put the eigenvalues, or
+    the exception, on that job's own reply queue, one job at a time."""
+    while True:
+        a, reply = jobs.get()
+        try:
+            result = np.linalg.eigvals(a)
+        except BaseException as exc:  # the caller raises it
+            result = exc
+        reply.put(result)
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(a)`` of a stack of matrices, its two contiguous
+    halves rooted at once: the first on this thread, the second on the
+    worker.  Each matrix is rooted alone either way, so the bits equal one
+    call's; a failure is the first half's, else the second's, raised once
+    both halves are done."""
+    global _worker
+    if len(a) < 2:
+        return np.linalg.eigvals(a)
+    with _worker_lock:
+        if _worker is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
+            _worker = jobs
+        jobs = _worker
+    half, reply = len(a) // 2, queue.SimpleQueue()
+    jobs.put((a[half:], reply))
+    try:
+        first = np.linalg.eigvals(a[:half])
+    finally:
+        second = reply.get()
+    if isinstance(second, BaseException):
+        raise second
+    return np.concatenate((first, second))
+
+
 def _matches(roots: np.ndarray, k_lo: int) -> tuple[np.ndarray, AmbiguousTracking | None]:
     """Row t: for each root of unordered set t (at index ``k_lo + t``), the
     index of the root of set t+1 that continues it (the assignment of
@@ -420,10 +480,11 @@ def _root_tables(spans, tol: float) -> list:
     """The batched pass of the module docstring for several spans ``(spec,
     k_lo, k_hi)`` of one order.  The distinct rows (by their bytes) of all
     spans, one row for a constant window, are solved and checked once: one
-    ``eigvals`` call, one :func:`_polish`, a second one from :func:`_circle`
-    of the rows that did not settle, and one :func:`_residual_check`.  Rows
-    of equal bytes share roots and verdict; each row stops on its own data,
-    so a span's roots do not depend on the spans beside it.
+    :func:`_eigvals` of their companion stack, one :func:`_polish`, a second
+    one from :func:`_circle` of the rows that did not settle, and one
+    :func:`_residual_check`.  Rows of equal bytes share roots and verdict;
+    each row stops on its own data, so a span's roots do not depend on the
+    spans beside it.
 
     Returns, per span, the labelled ``(roots, residuals)`` ``(W, N)`` of the
     rows before its lowest failing index, and the error of that index (None
@@ -454,7 +515,7 @@ def _root_tables(spans, tol: float) -> list:
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
     distinct, spread = np.unique(keys, return_inverse=True)
     distinct = distinct.view(complex).reshape(-1, rows.shape[1])
-    z, unsettled = _polish(distinct, np.linalg.eigvals(_companion(distinct)))
+    z, unsettled = _polish(distinct, _eigvals(_companion(distinct)))
     restart = np.flatnonzero(unsettled)
     if restart.size:  # rows are independent: these get the bits of characteristic_roots
         z[restart], unsettled[restart] = _polish(distinct[restart], _circle(distinct[restart]))

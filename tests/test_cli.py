@@ -562,11 +562,12 @@ class TestSweepReuse:
     def test_run_with_all_methods_and_a_sweep_is_one_batch(self, tmp_path, monkeypatch):
         # the benchmark's order3-run-sweep shape: every method at eps=0.01
         # and the sweep 0.02, 0.01, 0.005 make three problems, with three
-        # riccati seed recursions each; one eigvals call, one polish and one
-        # residual check over the distinct rows of their tables, one recursion
-        # loop and one chain serve them all, and each method is set up for all
-        # three at once: one residual-checked solve of the power starts, one
-        # of gauge-exact's 3 x 200 steps and one of the riccati starts
+        # riccati seed recursions each; one eigvals pass (its two halves, in
+        # either order), one polish and one residual check over the distinct
+        # rows of their tables, one recursion loop and one chain serve them
+        # all, and each method is set up for all three at once: one
+        # residual-checked solve of the power starts, one of gauge-exact's
+        # 3 x 200 steps and one of the riccati starts
         data = readme_scenario(tmp_path, 0.01)
         data["methods"] = list(wkbrec.wkb.METHOD_NAMES)
         scenario = write_scenario(tmp_path / "readme.json", data)
@@ -586,7 +587,8 @@ class TestSweepReuse:
         )
         assert main(["run", scenario]) == EXIT_OK
         assert (passes, loops, chains) == ([3], [12], [18])
-        assert (eigvals, polish, checks) == ([rows], [rows], [rows])
+        assert len(eigvals) <= 2 and sum(eigvals) == rows
+        assert (polish, checks) == ([rows], [rows])
         assert solves == [3, 600, 3]
 
 
@@ -1083,3 +1085,46 @@ def test_entry_point_reports_like_main(tmp_path):
         "",
         "numerical breakdown: method 'direct': non-finite value at index k=649\n",
     )
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "buffered pipe", "closed"])
+def test_a_reader_that_closed_stdout_is_no_error(tmp_path, stdout):
+    """Each command writing into a pipe whose reader is gone (as in
+    ``wkbrec generate | head -3``), with standard output unbuffered or
+    block-buffered, or started with standard output closed: nothing on
+    stderr, the exit code of the command, and ``run``'s files all in place."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(wkbrec.__file__).resolve().parents[1]),
+        "PYTHONUNBUFFERED": "" if stdout == "buffered pipe" else "1",
+    }
+
+    def into_closed_pipe(*argv):
+        command = [sys.executable, "-m", "wkbrec.cli", *argv]
+        if stdout == "closed":
+            command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                command,
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                cwd=tmp_path,
+                timeout=300,
+            )
+        finally:
+            os.close(write)
+        return done.returncode, done.stderr
+
+    assert into_closed_pipe("generate", "--seed", "3") == (EXIT_OK, "")
+    scenario = write_scenario(tmp_path / "s.json", fibonacci_scenario(tmp_path))
+    assert into_closed_pipe("run", scenario, "--output-dir", "out") == (EXIT_OK, "")
+    written = sorted(path.name for path in (tmp_path / "out").iterdir())
+    assert written == ["s_errors.csv", "s_resolved.json", "s_trajectory.csv"]
+    data = fibonacci_scenario(tmp_path)
+    data["order"] = 77
+    invalid = write_scenario(tmp_path / "bad.json", data)
+    assert into_closed_pipe("validate", invalid) == (EXIT_SCHEMA, "")
