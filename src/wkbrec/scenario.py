@@ -22,6 +22,7 @@ end can report every problem at once instead of failing on the first.
 from __future__ import annotations
 
 import cmath
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -127,7 +128,9 @@ def _pair_array(raw) -> np.ndarray | None:
     nonempty list of finite ``[re, im]`` int or float pairs, which
     ``parse_complex`` accepts as they are; None for any other input, which
     then takes the per-value path and its diagnostics."""
-    if not (type(raw) is list and raw and all(type(v) is list and len(v) == 2 for v in raw)):
+    if not (type(raw) is list and raw):
+        return None
+    if set(map(type, raw)) != {list} or set(map(len, raw)) != {2}:
         return None
     flat = list(chain.from_iterable(raw))
     if not set(map(type, flat)) <= {int, float}:
@@ -376,12 +379,37 @@ def scenario_from_dict(data) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except ValueError as exc:  # also bytes that are not UTF-8, and an int past 4300 digits
-            raise ScenarioError([f"not valid JSON: {exc}"]) from exc
-    return scenario_from_dict(data)
+    """The scenario of the JSON file at ``path``; a :class:`ScenarioError`
+    lists what is wrong with it, and a file that is not valid JSON (bytes
+    that are not UTF-8, an int past 4300 digits, or nesting deeper than the
+    decoder's recursion limit) is the one diagnostic ``not valid JSON: ...``.
+
+    The file is decoded and the scenario built with the cyclic garbage
+    collector paused, when it is enabled at entry: a long coefficient table
+    is tens of thousands of ``[re, im]`` lists, whose allocation would
+    otherwise set off a hundred collector passes that can free nothing,
+    since a decoded JSON tree holds no reference cycle.  The pause is safe
+    in a library: cycles made meanwhile by other threads wait at most one
+    parse, a collector the caller disabled stays disabled, and no thread
+    can observe the pause except in when cycles get collected.  The decoded
+    tree is dropped before the collector resumes, so the resume does not
+    set off a pass over it either.
+    """
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                data = json.load(handle)
+            # ValueError: also bytes that are not UTF-8, and an int past 4300 digits
+            except (ValueError, RecursionError) as exc:
+                raise ScenarioError([f"not valid JSON: {exc}"]) from exc
+        scenario = scenario_from_dict(data)
+        del data
+        return scenario
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _pairs(values: np.ndarray) -> list[list[float]]:

@@ -2,6 +2,7 @@
 the array reader for tabulated ``[re, im]`` pairs, each against the
 standard-library or per-value path it replaces."""
 
+import gc
 import json
 import math
 
@@ -286,10 +287,11 @@ class TestPairReader:
             [HUGE, 0],
             HUGE,
             None,
+            (1.0, 2.0),
         ],
         ids=[
             "nan", "inf", "triple", "single", "string-part", "string",
-            "bool-re", "bool-im", "bool", "huge-pair", "huge", "null",
+            "bool-re", "bool-im", "bool", "huge-pair", "huge", "null", "tuple",
         ],
     )
     def test_same_values_and_diagnostics_as_per_value(self, bad, tmp_path, monkeypatch, capsys):
@@ -314,6 +316,15 @@ class TestPairReader:
         per_value(monkeypatch)
         slow = scenario_from_dict(tabulated_problem(raw)).spec.table
         np.testing.assert_array_equal(bits(fast), bits(slow))
+
+    def test_a_tuple_pair_reads_as_per_value(self, monkeypatch):
+        raw = [[1.0, 0.0], (1.0, 2.0), [3, -0.0], [4, 0.5]]
+        assert scenario_module._pair_array(raw) is None
+        fast = scenario_from_dict(tabulated_problem(raw)).spec.table
+        per_value(monkeypatch)
+        slow = scenario_from_dict(tabulated_problem(raw)).spec.table
+        np.testing.assert_array_equal(bits(fast), bits(slow))
+        assert fast[1, 0] == 1 + 2j
 
 
 def readme_problem():
@@ -402,6 +413,19 @@ class TestHugeIntegers:
             assert code == EXIT_SCHEMA
             assert out.startswith("not valid JSON: ")
             assert out.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "prefix, suffix", [("", ""), ('{"order": 3, "coefficients": ', "}")], ids=["bare", "inner"]
+    )
+    def test_nesting_past_the_recursion_limit_is_not_valid_json(
+        self, prefix, suffix, tmp_path, capsys
+    ):
+        text = prefix + "[" * 100000 + "]" * 100000 + suffix
+        for code, out in run_cli(tmp_path, capsys, text):
+            assert code == EXIT_SCHEMA
+            assert out.startswith("not valid JSON: ")
+            assert out.count("\n") == 1
+        assert gc.isenabled()
 
     def test_bytes_that_are_not_utf8_are_not_valid_json(self, tmp_path, capsys):
         text = json.dumps(readme_problem()).replace("direct", "dir\u00e9ct").encode("latin-1")
