@@ -33,17 +33,14 @@ the resolved file depends on the scenario alone, so right after loading it
 the parent creates that file's temporary file and forks a child that
 formats the text into it, while the parent runs the batch and writes the
 other files; the parent reaps the child before any target is replaced.  The
-child is fork-safe although numpy's BLAS and the root pass's worker thread
-(see :mod:`wkbrec.roots`) may have started threads (the question Python
-3.12's fork ``DeprecationWarning`` asks): it calls no BLAS routine and roots
-nothing, takes no lock another thread may hold, and ends with ``os._exit``.
-A forked child never hands work to the parent's root worker, which it does
-not have: one that roots starts its own.
-The parent owns every failure: when the fork or the child fails it writes
-the resolved file itself, and when it fails itself it ends and reaps the
-child and removes its temporary file, so the bytes, messages and exit codes
-are those of the unforked path.  Shorter runs and ``sweep`` do not fork:
-the fork costs more than it saves on them.
+child is fork-safe although numpy's BLAS may have started threads (the
+question Python 3.12's fork ``DeprecationWarning`` asks): it calls no BLAS
+routine and roots nothing, takes no lock another thread may hold, and ends
+with ``os._exit``.  The parent owns every failure: when the fork or the
+child fails it writes the resolved file itself, and when it fails itself it
+ends and reaps the child and removes its temporary file, so the bytes,
+messages and exit codes are those of the unforked path.  Shorter runs and
+``sweep`` do not fork: the fork costs more than it saves on them.
 
 Exit codes: 0 success, 2 schema error, 3 numerical breakdown, 4 I/O error.
 Subcommands raise, and only :func:`main` reports a failure: one line on

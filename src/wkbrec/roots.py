@@ -12,13 +12,14 @@ row of a constant window is one row): simultaneous Aberth-Ehrlich
 sweeps polish the eigenvalues of the companion matrices, or else the cold
 start of :func:`characteristic_roots`, and every root must then meet its
 residual bound.  The companion stack is rooted in two halves at once
-(:func:`_eigvals`): the first on the calling thread, the second on one
-persistent worker thread, so the halves run on two cores while numpy's
-LAPACK call releases the GIL.  Each matrix's eigenvalues depend on that
-matrix alone, so the bits are those of one ``eigvals`` call.  Branch labels
-are carried along the window by matching each unordered root set to the one
-before it (a certified nearest-root match, or the exact search over all
-permutations when the certificate fails) and composing those matches.
+(:func:`_eigvals`): the first on the calling thread, the second on a helper
+thread that each call starts and waits for, so the halves run on two cores
+while numpy's LAPACK call releases the GIL and no thread outlives the call.
+Each matrix's eigenvalues depend on that matrix alone, so the bits are
+those of one ``eigvals`` call.  Branch labels are carried along the window
+by matching each unordered root set to the one before it (a certified
+nearest-root match, or the exact search over all permutations when the
+certificate fails) and composing those matches.
 
 The module also builds the power gauge ``g[m,n,k] = rho[n,k]**m`` whose
 stacked matrix is the Vandermonde matrix of the roots, and provides that
@@ -30,10 +31,8 @@ check and the tie check with the batched pass.
 
 from __future__ import annotations
 
+import _thread
 import itertools
-import os
-import queue
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -371,57 +370,36 @@ def _polish(f: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, unsettled
 
 
-# the job queue of the thread that roots the second half of each stack, made
-# on first use; a forked child forgets its parent's, which it does not have
-_worker: queue.SimpleQueue | None = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    """The worker: root each stack it is handed and put the eigenvalues, or
-    the exception, on that job's own reply queue, one job at a time."""
-    while True:
-        a, reply = jobs.get()
-        try:
-            result = np.linalg.eigvals(a)
-        except BaseException as exc:  # the caller raises it
-            result = exc
-        reply.put(result)
-
-
 def _eigvals(a: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvals(a)`` of a stack of matrices, its two contiguous
-    halves rooted at once: the first on this thread, the second on the
-    worker.  Each matrix is rooted alone either way, so the bits equal one
-    call's; a failure is the first half's, else the second's, raised once
-    both halves are done."""
-    global _worker
+    halves rooted at once: the first on this thread, the second on a helper
+    thread that this call starts and waits for.  Each matrix is rooted
+    alone either way, so the bits equal one call's; a failure is the first
+    half's, else the second's, raised once both halves are done.  A stack
+    is rooted in one call when no thread can be started."""
     if len(a) < 2:
         return np.linalg.eigvals(a)
-    with _worker_lock:
-        if _worker is None:
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
-            _worker = jobs
-        jobs = _worker
-    half, reply = len(a) // 2, queue.SimpleQueue()
-    jobs.put((a[half:], reply))
+    half, second, done = len(a) // 2, [], _thread.allocate_lock()
+
+    def root_second():
+        try:
+            second.append(np.linalg.eigvals(a[half:]))
+        except BaseException as exc:  # the caller raises it
+            second.append(exc)
+        done.release()
+
+    done.acquire()
+    try:
+        _thread.start_new_thread(root_second, ())
+    except RuntimeError:  # out of threads
+        return np.linalg.eigvals(a)
     try:
         first = np.linalg.eigvals(a[:half])
     finally:
-        second = reply.get()
-    if isinstance(second, BaseException):
-        raise second
-    return np.concatenate((first, second))
+        done.acquire()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return np.concatenate((first, second[0]))
 
 
 def _matches(roots: np.ndarray, k_lo: int) -> tuple[np.ndarray, AmbiguousTracking | None]:

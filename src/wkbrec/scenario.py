@@ -178,7 +178,8 @@ def _parse_model(entry, where: str, errors: list[str]) -> CoefficientModel | Non
         errors.append(f"{where}: expected an object, got {type(entry).__name__}")
         return None
     variant = entry.get("variant")
-    for key in sorted(set(entry) - _MODEL_KEYS.get(variant, set(entry))):
+    keys = _MODEL_KEYS.get(variant, set(entry)) if isinstance(variant, str) else set(entry)
+    for key in sorted(set(entry) - keys):
         errors.append(f"{where}: unknown key '{key}' for variant {variant!r}")
     try:
         if variant == "constant":
@@ -313,6 +314,8 @@ def _build(data) -> tuple[Scenario | None, list[str]]:
             if not isinstance(out_path, str):
                 errors.append("'output.path' must be a string")
                 out_path = "."
+            elif "\0" in out_path:
+                errors.append("'output.path' must not contain a NUL character")
             if out_format not in OUTPUT_FORMATS:
                 errors.append(f"'output.format' must be one of {OUTPUT_FORMATS}")
                 out_format = "csv"

@@ -435,6 +435,36 @@ class TestHugeIntegers:
             assert out.count("\n") == 1
 
 
+class TestModelAndOutputShapes:
+    """A model variant that is not a string, and an output path with a NUL
+    character, are schema errors that ``validate`` and ``run`` both report."""
+
+    @pytest.mark.parametrize(
+        "path, model, where",
+        [
+            pytest.param(
+                ("forcing",), {"variant": [1], "value": "0"}, "forcing", id="list-forcing"
+            ),
+            pytest.param(
+                ("coefficients", 1), {"variant": {}, "value": "0"}, "coefficients[1]",
+                id="object-coefficient",
+            ),
+        ],
+    )
+    def test_a_variant_that_is_not_a_string_is_unknown(self, path, model, where, tmp_path, capsys):
+        diagnostic = (
+            f"{where}: unknown variant {model['variant']!r} "
+            "(expected constant, tabulated, polynomial or sinusoidal)\n"
+        )
+        for code, out in run_cli(tmp_path, capsys, json.dumps(put(readme_problem(), path, model))):
+            assert (code, out) == (EXIT_SCHEMA, diagnostic)
+
+    def test_an_output_path_with_a_nul_character_is_rejected(self, tmp_path, capsys):
+        data = {**readme_problem(), "output": {"path": "a\u0000b", "format": "csv"}}
+        for code, out in run_cli(tmp_path, capsys, json.dumps(data)):
+            assert (code, out) == (EXIT_SCHEMA, "'output.path' must not contain a NUL character\n")
+
+
 class TestBooleans:
     @pytest.mark.parametrize(
         "path, value, expected",
