@@ -70,6 +70,7 @@ from .errors import RecurrenceError
 from .roots import DEFAULT_ROOT_TOL
 from .scenario import (
     ScenarioError,
+    _check_order,
     _resolved_payload,
     _sweep_problems,
     load_scenario,
@@ -105,8 +106,10 @@ class _ForkedWriter:
     ``os._exit``: 0 once the text is written, 1 on any failure.  So it never
     returns into the caller's handlers, ``finally`` blocks or ``atexit``,
     and flushes none of the parent's buffers.  :meth:`join` writes the file
-    in the parent when the fork or the child failed; :meth:`discard` ends
-    and reaps a child not yet reaped and removes the temporary file."""
+    in the parent when the fork or the child failed, or when the child's
+    status is lost to a process that ignores SIGCHLD (the system reaps the
+    child itself); :meth:`discard` ends and reaps a child not yet gone and
+    removes the temporary file."""
 
     def __init__(self, path: Path, chunks):
         self.path, self.chunks = path, chunks
@@ -133,7 +136,10 @@ class _ForkedWriter:
     def join(self) -> Path:
         """Reap the child; the temporary file, written here anew unless the
         child wrote it whole."""
-        failed = self.pid is None or os.waitpid(self.pid, 0)[1] != 0
+        try:
+            failed = self.pid is None or os.waitpid(self.pid, 0)[1] != 0
+        except ChildProcessError:  # reaped by the system: its status is lost
+            failed = True
         self.pid = None
         if failed:
             os.unlink(self.tmp)
@@ -143,12 +149,14 @@ class _ForkedWriter:
         return self.tmp
 
     def discard(self) -> None:
-        """End and reap the child unless reaped, and remove the temporary file."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if os.path.exists(self.tmp):
+        """End and reap the child unless it is gone, and remove the temporary
+        file.  It raises nothing over the error it cleans up after."""
+        pid, self.pid = self.pid, None
+        with suppress(OSError):  # ChildProcessError: the system reaped it
+            if pid is not None and os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        with suppress(OSError):
             os.unlink(self.tmp)
 
 
@@ -361,34 +369,32 @@ def _execute(args, sweep_only: bool) -> int:
 
 
 def _cmd_generate(args) -> int:
+    errors: list[str] = []
+    n = _check_order(args.order, errors)
+    if n is None:  # before the draws, whose number grows with the order
+        raise ScenarioError(errors)
     rng = np.random.default_rng(args.seed)
-    n = args.order
 
-    def draw() -> str:
-        z = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
+    def text(z) -> str:
         return f"{z.real:.6g}{z.imag:+.6g}j"
 
-    coefficients = []
-    for i in range(n):
-        if i == 0:
-            # keep f[0] away from zero over any window
-            mag = rng.uniform(0.5, 2.0)
-            ang = rng.uniform(0, 2 * np.pi)
-            z = mag * np.exp(1j * ang)
-            coefficients.append(
-                {"variant": "constant", "value": f"{z.real:.6g}{z.imag:+.6g}j"}
-            )
-        else:
-            coefficients.append(
-                {
-                    "variant": "sinusoidal",
-                    "amplitude": f"{rng.uniform(0.05, 0.3):.6g}",
-                    "offset": draw(),
-                    "frequency": 1.0,
-                    "phase": 0.0,
-                    "epsilon": 0.01,
-                }
-            )
+    def draw() -> str:
+        return text(rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2))
+
+    # keep f[0] away from zero over any window
+    mag, ang = rng.uniform(0.5, 2.0), rng.uniform(0, 2 * np.pi)
+    coefficients = [{"variant": "constant", "value": text(mag * np.exp(1j * ang))}]
+    for _ in range(1, n):
+        coefficients.append(
+            {
+                "variant": "sinusoidal",
+                "amplitude": f"{rng.uniform(0.05, 0.3):.6g}",
+                "offset": draw(),
+                "frequency": 1.0,
+                "phase": 0.0,
+                "epsilon": 0.01,
+            }
+        )
     data = {
         "order": n,
         "k_start": 0,

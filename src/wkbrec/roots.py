@@ -43,7 +43,6 @@ from .decomposition import ComponentVector, GaugeSet
 from .errors import (
     AmbiguousTracking,
     DegenerateRoots,
-    IndexOutOfWindow,
     NoConvergence,
     RecurrenceError,
     ZeroCoefficient,
@@ -456,10 +455,11 @@ def _labelled(z, residuals, k_lo: int, stop: int, error):
 
 def _root_tables(spans, tol: float) -> list:
     """The batched pass of the module docstring for several spans ``(spec,
-    k_lo, k_hi)`` of one order.  The distinct rows (by their bytes) of all
-    spans, one row for a constant window, are solved and checked once: one
-    :func:`_eigvals` of their companion stack, one :func:`_polish`, a second
-    one from :func:`_circle` of the rows that did not settle, and one
+    k_lo, k_hi)`` of one order, each inside its window or empty (``k_hi =
+    k_lo - 1``).  The distinct rows (by their bytes) of all spans, one row
+    for a constant window, are solved and checked once: one :func:`_eigvals`
+    of their companion stack, one :func:`_polish`, a second one from
+    :func:`_circle` of the rows that did not settle, and one
     :func:`_residual_check`.  Rows of equal bytes share roots and verdict;
     each row stops on its own data, so a span's roots do not depend on the
     spans beside it.
@@ -472,18 +472,10 @@ def _root_tables(spans, tol: float) -> list:
     """
     parts = []  # per span: its coefficient rows, the first non-finite one and its error
     for spec, k_lo, k_hi in spans:
-        f, error = spec.table[:0, :-1], None
-        if k_hi >= k_lo:
-            try:
-                spec.check_window(k_lo)
-                spec.check_window(min(k_hi, spec.window[1] + 1))
-                f = spec.table[k_lo - spec.k_start : k_hi - spec.k_start + 1, :-1]
-            except IndexOutOfWindow as exc:
-                error = exc
+        f = spec.table[k_lo - spec.k_start : k_hi - spec.k_start + 1, :-1]
         bad = ~np.isfinite(f).all(axis=1)
         stop = int(np.argmax(bad)) if bad.any() else len(f)
-        if stop < len(f):
-            error = RecurrenceError("non-finite characteristic coefficient")
+        error = RecurrenceError("non-finite characteristic coefficient") if stop < len(f) else None
         parts.append((f, stop, error))
     rows = np.concatenate([f[:stop] for f, stop, _ in parts])
     try:
@@ -520,11 +512,15 @@ def root_frames(
     k_start + horizon``, what one propagation pass needs), one per row of
     :func:`_root_tables` over this span.  Row 0 is labelled by ascending real,
     then imaginary part.  Raises the error of the lowest failing index, with
-    that index: outside the window (:class:`IndexOutOfWindow`), a non-finite
-    coefficient row, a root residual above ``tol`` or an unsettled polish
-    (:class:`NoConvergence`), or a tracking tie (:class:`AmbiguousTracking`)."""
+    that index: outside the window (:class:`IndexOutOfWindow`, checked before
+    the pass), a non-finite coefficient row, a root residual above ``tol`` or
+    an unsettled polish (:class:`NoConvergence`), or a tracking tie."""
     k_lo = spec.k_start if k_lo is None else k_lo
     k_hi = spec.k_start + spec.horizon if k_hi is None else k_hi
+    if k_hi < k_lo:
+        return []
+    spec.check_window(k_lo)
+    spec.check_window(min(k_hi, spec.window[1] + 1))
     [((roots, residuals), error)] = _root_tables([(spec, k_lo, k_hi)], tol)
     if error is not None:
         raise error

@@ -220,6 +220,17 @@ def _parse_model(entry, where: str, errors: list[str]) -> CoefficientModel | Non
     return None
 
 
+def _check_order(order, errors: list[str]) -> int | None:
+    """``order`` if supported, else None with its diagnostic in ``errors``."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        errors.append("'order' must be an integer")
+    elif not MIN_ORDER <= order <= MAX_ORDER:
+        errors.append(f"'order' must be in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
+    else:
+        return order
+    return None
+
+
 def _build(data) -> tuple[Scenario | None, list[str]]:
     errors: list[str] = []
     if not isinstance(data, dict):
@@ -227,13 +238,7 @@ def _build(data) -> tuple[Scenario | None, list[str]]:
     for key in sorted(set(data) - _TOP_KEYS):
         errors.append(f"unknown key '{key}'")
 
-    order = data.get("order")
-    if not isinstance(order, int) or isinstance(order, bool):
-        errors.append("'order' must be an integer")
-        order = None
-    elif not MIN_ORDER <= order <= MAX_ORDER:
-        errors.append(f"'order' must be in [{MIN_ORDER}, {MAX_ORDER}], got {order}")
-        order = None
+    order = _check_order(data.get("order"), errors)
 
     k_start = data.get("k_start", 0)
     if not isinstance(k_start, int) or isinstance(k_start, bool):

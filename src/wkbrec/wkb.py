@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -177,22 +177,21 @@ class _Chained(NamedTuple):
 class _Problem:
     """One problem of a batch and what its methods share: the labelled root
     rows of the batch's root pass before the first failing one, with that
-    failure (None if every row it was asked for passed), the oracle and
-    riccati's seed trajectories ``(N, H+N)`` from the batch's one recursion
-    loop, and, once a power-gauge method is set up, the initial values split
-    under the power gauge of row 0 (``start``) and the :func:`_spread` of
-    rows 1 .. H.  Then each method's chain inputs (None for ``direct``), up
-    to the first method that fails, at its root rows or in its setup, with
-    that failure (charged by :func:`_set_up` alone)."""
+    failure (None if every row it was asked for passed), the pass's split of
+    the initial values under the power gauge of row 0 (``start``), the
+    oracle and riccati's seed trajectories ``(N, H+N)`` from the batch's one
+    recursion loop, and the :func:`_spread` of rows 1 .. H.  Then each
+    method's chain inputs (None for ``direct``), up to the first method that
+    fails, at its root rows or in its setup, with that failure (charged by
+    :func:`_set_up` alone)."""
 
     spec: RecurrenceSpec
     initial: np.ndarray
     roots: np.ndarray
     root_error: Exception | None = None
+    start: np.ndarray | None = None
     oracle: np.ndarray | None = None
     seeds: np.ndarray | None = None
-    start: np.ndarray | None = None
-    spread: np.ndarray | None = None
     chained: dict[str, _Chained | None] = field(default_factory=dict)
     failure: tuple[str, Exception] | None = None
     values: dict[str, np.ndarray] = field(default_factory=dict)
@@ -205,6 +204,10 @@ class _Problem:
         if issues:
             raise ValueError("; ".join(issues))
         return cls(spec, _initial(initial, spec.order), np.empty((0, spec.order)))
+
+    @cached_property
+    def spread(self) -> np.ndarray:
+        return _spread(self.roots[1:])
 
     @property
     def ks(self) -> np.ndarray:
@@ -239,57 +242,28 @@ class _Problem:
 _branch_sum = partial(np.sum, axis=1)
 
 
-def _power_starts(problems: list[_Problem]):
-    """The split ``(P, N)`` of each problem's initial values under the power
-    gauge of root row 0, where every power-gauge method starts, and its
-    verdict (made once per batch, for all problems of the first such method;
-    a problem whose split failed stops there, so a cached split passed)."""
-    fresh = [p for p in problems if p.start is None]
-    failures = {}
-    if fresh:
-        starts, errors = _decompose(
-            _vandermonde(np.stack([p.roots[0] for p in fresh])),
-            np.stack([p.initial for p in fresh]),
-            [p.spec.k_start for p in fresh],
-        )
-        for p, start, exc in zip(fresh, starts, errors):
-            p.start, failures[p] = start, exc
-    return np.stack([p.start for p in problems]), [failures.get(p) for p in problems]
-
-
-def _power_spread(problems: list[_Problem]) -> np.ndarray:
-    """:func:`_spread` of root rows 1 .. H ``(P, H, N)``, shared by the
-    power-gauge kernels: made once per batch, for all problems of the first
-    kernel method."""
-    fresh = [p for p in problems if p.spread is None]
-    if fresh:
-        for p, spread in zip(fresh, _spread(np.stack([p.roots[1:] for p in fresh]))):
-            p.spread = spread
-    return np.stack([p.spread for p in problems])
-
-
 def _power_gauge_chain(problems: list[_Problem], kernel=None):
     """A power-gauge method over the ``(P, H+1, N)`` root tables of the
-    problems: ``kernel(r, R)`` gives the step matrices or diagonals from the
-    roots at k and k+1 (the forcing is spread by :func:`_spread`); no kernel
-    means the exact step, whose verdict follows the start's."""
-    starts, failures = _power_starts(problems)
+    problems, from their ``start``: ``kernel(r, R)`` gives the step matrices
+    or diagonals from the roots at k and k+1 (the forcing is spread by
+    ``spread``); no kernel means the exact step, which has its own verdict."""
     horizon = problems[0].spec.horizon
     roots = np.stack([p.roots for p in problems])
     table = np.stack([p.spec.table[:horizon] for p in problems])
     f, forcing = table[..., :-1], table[..., -1]
     if kernel is None:
         ks = np.stack([p.ks for p in problems])
-        T, push, later = _step_arrays(_vandermonde(roots), f, forcing, ks)
-        failures = _first_failures(failures, later)
+        T, push, failures = _step_arrays(_vandermonde(roots), f, forcing, ks)
     else:
         T = kernel(roots[:, :-1], roots[:, 1:])
-        push = -forcing[..., None] * _power_spread(problems)
-    return [_Chained(*chain, _branch_sum) for chain in zip(starts, T, push)], failures
+        push = -forcing[..., None] * np.stack([p.spread for p in problems])
+        failures = [None] * len(problems)
+    return [_Chained(p.start, t, q, _branch_sum) for p, t, q in zip(problems, T, push)], failures
 
 
 def _explicit3_chain(problems: list[_Problem]):
-    return _power_gauge_chain(problems, partial(_explicit3_matrix, spread=_power_spread(problems)))
+    spread = np.stack([p.spread for p in problems])
+    return _power_gauge_chain(problems, partial(_explicit3_matrix, spread=spread))
 
 
 def _no_chain(problems: list[_Problem]):
@@ -543,9 +517,10 @@ def _outcome(call, *args):
 
 def _root_pass(problems: list[_Problem], ordered, tol: float) -> None:
     """Give each problem the root rows its methods read, from one pass: all
-    rows ``k_start .. k_start + H`` if a method reads them all (the rows
-    returned, before any failing one, are then checked for separation; a
-    failure among them wins and keeps row 0), else row 0 if riccati's seeds are read."""
+    rows ``k_start .. k_start + H``, checked for separation, if a method
+    reads them all, else row 0 for riccati's seeds.  Each problem whose rows
+    all pass gets its ``start`` from one batched split; a failing check or
+    split keeps row 0 and is the problem's root error."""
     readers = [_METHODS[name] for name in ordered]
     if not any(m.roots or m.seeded for m in readers):
         return
@@ -558,6 +533,17 @@ def _root_pass(problems: list[_Problem], ordered, tol: float) -> None:
                 _check_separation(roots, p.ks)
             except DegenerateRoots as exc:
                 p.roots, p.root_error = roots[:1], exc
+    whole = [p for p in problems if last and p.root_error is None]
+    if whole:
+        starts, failures = _decompose(
+            _vandermonde(np.stack([p.roots[0] for p in whole])),
+            np.stack([p.initial for p in whole]),
+            [p.spec.k_start for p in whole],
+        )
+        for p, start, exc in zip(whole, starts, failures):
+            p.start = start
+            if exc is not None:
+                p.roots, p.root_error = p.roots[:1], exc
 
 
 def epsilon_sweep(

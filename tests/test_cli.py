@@ -657,6 +657,16 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "'order' must be in [2, 8], got 9\n")
 
+    def test_an_order_out_of_range_is_rejected_before_any_draw(self, capsys, monkeypatch):
+        # the draws grow with the order, so a huge one must not reach them
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"generate drew with {name} before checking the order")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        assert main(["generate", "--order", "1000000000"]) == EXIT_SCHEMA
+        assert capsys.readouterr() == ("", "'order' must be in [2, 8], got 1000000000\n")
+
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_seed_must_be_a_nonnegative_integer(self, capsys, seed):
         with pytest.raises(SystemExit) as info:

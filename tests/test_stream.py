@@ -3,10 +3,13 @@
 whole-text reference, atomically (a run's files together), in the mode
 ``open(path, "w")`` gives and without ever holding a whole file's text."""
 
+import contextlib
 import errno
 import json
 import os
+import signal
 import stat
+import time
 import tracemalloc
 
 import numpy as np
@@ -382,6 +385,75 @@ def test_a_breakdown_in_the_batch_leaves_no_child_and_no_file(tmp_path, capsys, 
     assert main(["run", scenario, "--output-dir", str(fresh)]) == EXIT_NUMERICAL
     assert capsys.readouterr() == ("", line)
     assert_no_child()
+    assert not (tmp_path / "missing").exists()
+
+
+@contextlib.contextmanager
+def sigchld_ignored():
+    """SIGCHLD ignored, as a process started with it ignored inherits: the
+    system reaps every child itself, so ``waitpid`` gets no status."""
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+
+
+def test_a_forking_run_that_ignores_sigchld_writes_the_bytes_of_the_inline_path(
+    tmp_path, capsys, monkeypatch
+):
+    scenario, _ = forking_run(tmp_path, tmp_path / "out")
+    with monkeypatch.context() as inline:
+        inline.delattr(os, "fork")
+        assert main(["run", scenario, "--output-dir", str(tmp_path / "inline")]) == EXIT_OK
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    with sigchld_ignored():
+        assert main(["run", scenario]) == EXIT_OK
+        assert_no_child()
+    assert capsys.readouterr().err == ""
+    assert len(forks) == 1
+    # the parent wrote the file the child's lost status cannot vouch for,
+    # and no temporary file is left
+    assert contents(tmp_path / "out") == contents(tmp_path / "inline")
+
+
+@pytest.mark.parametrize("child", ["running", "reaped"])
+def test_a_breakdown_in_a_run_that_ignores_sigchld_leaves_no_child_and_no_file(
+    tmp_path, capsys, monkeypatch, child
+):
+    def breaking(*args):
+        deadline = time.monotonic() + 20
+        while child == "reaped":  # until the system has reaped the writer
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                break
+            assert time.monotonic() < deadline, "the writer did not end"
+            time.sleep(0.001)
+        raise Breakdown("method 'direct': non-finite value", k=7)
+
+    line = "numerical breakdown: method 'direct': non-finite value at index k=7\n"
+    outdir = tmp_path / "out"
+    scenario, _ = forking_run(tmp_path, outdir)
+    assert main(["run", scenario]) == EXIT_OK
+    capsys.readouterr()
+    before = files(outdir)
+    monkeypatch.setattr(cli, "_compare_batch", breaking)
+    fresh = tmp_path / "missing" / "nested"
+    with sigchld_ignored():
+        assert main(["run", scenario]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", line)
+        assert_no_child()
+        assert main(["run", scenario, "--output-dir", str(fresh)]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", line)
+        assert_no_child()
+    assert files(outdir) == before
     assert not (tmp_path / "missing").exists()
 
 
