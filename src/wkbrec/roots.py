@@ -6,17 +6,14 @@ At each index k the frozen-coefficient characteristic polynomial
 
 has N complex roots.  :func:`_root_tables` finds them for index windows of
 several problems in one batched pass, as labelled ``(W, N)`` arrays per
-window (:func:`root_frames` lists the frames of one window).  It solves and
-checks each distinct row once (row k at 2 eps is row 2k at eps, and every
-row of a constant window is one row): simultaneous Aberth-Ehrlich
-sweeps polish the eigenvalues of the companion matrices, or else the cold
-start of :func:`characteristic_roots`, and every root must then meet its
-residual bound.  The companion stack is rooted in two halves at once
-(:func:`_eigvals`): the first on the calling thread, the second on a helper
-thread that each call starts and waits for, so the halves run on two cores
-while numpy's LAPACK call releases the GIL and no thread outlives the call.
-Each matrix's eigenvalues depend on that matrix alone, so the bits are
-those of one ``eigvals`` call.  Branch labels are carried along the window
+window (:func:`root_frames` lists the frames of one window).  Where the
+coefficients vary slowly, the roots of row t lie near those of its anchor,
+row ``t - t % WARM_STRIDE`` of its window.  So only the distinct anchor
+rows are solved from nothing, by one ``eigvals`` call on their companion
+matrices and simultaneous Aberth-Ehrlich sweeps (or else the cold start of
+:func:`characteristic_roots`); every other row is swept from its anchor's
+roots, and goes the anchor's way when that does not settle or its roots
+break their residual bound.  Branch labels are carried along the window
 by matching each unordered root set to the one before it (a certified
 nearest-root match, or the exact search over all permutations when the
 certificate fails) and composing those matches.
@@ -31,7 +28,6 @@ check and the tie check with the batched pass.
 
 from __future__ import annotations
 
-import _thread
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,6 +57,9 @@ TIE_THRESHOLD = 1e-12
 # lower bound on the tie gap exceeds the tie threshold by this factor, so
 # rounding in the two computations cannot separate their verdicts.
 _CERTIFY_MARGIN = 4.0
+# The root pass solves from nothing only every this many rows of a span (its
+# anchors) and polishes the rows between from their anchor's roots.
+WARM_STRIDE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,36 +368,22 @@ def _polish(f: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, unsettled
 
 
-def _eigvals(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvals(a)`` of a stack of matrices, its two contiguous
-    halves rooted at once: the first on this thread, the second on a helper
-    thread that this call starts and waits for.  Each matrix is rooted
-    alone either way, so the bits equal one call's; a failure is the first
-    half's, else the second's, raised once both halves are done.  A stack
-    is rooted in one call when no thread can be started."""
-    if len(a) < 2:
-        return np.linalg.eigvals(a)
-    half, second, done = len(a) // 2, [], _thread.allocate_lock()
+def _cold_roots(f: np.ndarray, tol: float):
+    """Roots of each row of ``f`` from nothing, with their residuals and
+    verdicts (:func:`_residual_check`): one :func:`_polish` of the
+    eigenvalues of the companion stack, and a second from :func:`_circle`
+    of the rows that did not settle, which gives those rows the bits of
+    :func:`characteristic_roots` (rows are independent)."""
+    z, unsettled = _polish(f, np.linalg.eigvals(_companion(f)))
+    restart = np.flatnonzero(unsettled)
+    if restart.size:
+        z[restart], unsettled[restart] = _polish(f[restart], _circle(f[restart]))
+    return (z, *_residual_check(f, z, unsettled, tol))
 
-    def root_second():
-        try:
-            second.append(np.linalg.eigvals(a[half:]))
-        except BaseException as exc:  # the caller raises it
-            second.append(exc)
-        done.release()
 
-    done.acquire()
-    try:
-        _thread.start_new_thread(root_second, ())
-    except RuntimeError:  # out of threads
-        return np.linalg.eigvals(a)
-    try:
-        first = np.linalg.eigvals(a[:half])
-    finally:
-        done.acquire()
-    if isinstance(second[0], BaseException):
-        raise second[0]
-    return np.concatenate((first, second[0]))
+def _byte_keys(a: np.ndarray) -> np.ndarray:
+    """Each row of the 2-D array ``a`` as one void scalar of its bytes."""
+    return np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
 
 
 def _matches(roots: np.ndarray, k_lo: int) -> tuple[np.ndarray, AmbiguousTracking | None]:
@@ -456,13 +441,16 @@ def _labelled(z, residuals, k_lo: int, stop: int, error):
 def _root_tables(spans, tol: float) -> list:
     """The batched pass of the module docstring for several spans ``(spec,
     k_lo, k_hi)`` of one order, each inside its window or empty (``k_hi =
-    k_lo - 1``).  The distinct rows (by their bytes) of all spans, one row
-    for a constant window, are solved and checked once: one :func:`_eigvals`
-    of their companion stack, one :func:`_polish`, a second one from
-    :func:`_circle` of the rows that did not settle, and one
-    :func:`_residual_check`.  Rows of equal bytes share roots and verdict;
-    each row stops on its own data, so a span's roots do not depend on the
-    spans beside it.
+    k_lo - 1``).  The row at offset t of a span has as its anchor the row
+    at offset ``t - t % WARM_STRIDE``.  The distinct anchor rows (by their
+    bytes) of all spans are solved by :func:`_cold_roots`; a row of its
+    anchor's bytes, or of a failing anchor, takes the anchor's roots and
+    verdict.  The other rows, distinct by their bytes and their anchor's,
+    are polished in one :func:`_polish` from the anchor's roots, and those
+    that do not settle or fail the residual check are solved again by
+    :func:`_cold_roots`.  Each row's roots and verdict depend on its bytes
+    and its anchor's alone, so a span's roots do not depend on the spans
+    beside it.
 
     Returns, per span, the labelled ``(roots, residuals)`` ``(W, N)`` of the
     rows before its lowest failing index, and the error of that index (None
@@ -482,15 +470,22 @@ def _root_tables(spans, tol: float) -> list:
         _check_tolerance(tol)
     except ValueError as exc:  # the error of every span with rows
         return [((rows[:0], rows[:0].real), exc if len(f) else error) for f, _, error in parts]
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    distinct, spread = np.unique(keys, return_inverse=True)
-    distinct = distinct.view(complex).reshape(-1, rows.shape[1])
-    z, unsettled = _polish(distinct, _eigvals(_companion(distinct)))
-    restart = np.flatnonzero(unsettled)
-    if restart.size:  # rows are independent: these get the bits of characteristic_roots
-        z[restart], unsettled[restart] = _polish(distinct[restart], _circle(distinct[restart]))
-    residuals, failures = _residual_check(distinct, z, unsettled, tol)
-    z, residuals, failures = z[spread], residuals[spread], failures[spread]
+    offsets = np.concatenate([np.arange(stop) for _, stop, _ in parts])
+    anchors = np.arange(len(rows)) - offsets % WARM_STRIDE
+    keys = _byte_keys(rows)
+    _, first, spread = np.unique(keys[anchors], return_index=True, return_inverse=True)
+    z, residuals, failures = (a[spread] for a in _cold_roots(rows[anchors[first]], tol))
+    warm = np.flatnonzero((keys != keys[anchors]) & np.equal(failures, None))
+    if warm.size:
+        pairs = _byte_keys(np.concatenate((rows[warm], rows[anchors[warm]]), axis=1))
+        _, first, spread = np.unique(pairs, return_index=True, return_inverse=True)
+        f = rows[warm[first]]
+        wz, unsettled = _polish(f, z[warm[first]])
+        wres, wfail = _residual_check(f, wz, unsettled, tol)
+        cold = np.flatnonzero(np.not_equal(wfail, None))
+        if cold.size:
+            wz[cold], wres[cold], wfail[cold] = _cold_roots(f[cold], tol)
+        z[warm], residuals[warm], failures[warm] = wz[spread], wres[spread], wfail[spread]
     tables, lo = [], 0
     for (_, stop, error), (_, k_lo, _) in zip(parts, spans):
         span = slice(lo, lo + stop)

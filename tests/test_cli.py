@@ -562,19 +562,23 @@ class TestSweepReuse:
     def test_run_with_all_methods_and_a_sweep_is_one_batch(self, tmp_path, monkeypatch):
         # the benchmark's order3-run-sweep shape: every method at eps=0.01
         # and the sweep 0.02, 0.01, 0.005 make three problems, with three
-        # riccati seed recursions each; one eigvals pass (its two halves, in
-        # either order), one polish and one residual check over the distinct
-        # rows of their tables, one recursion loop and one chain serve them
-        # all, and each method is set up for all three at once: one
-        # residual-checked solve of the power starts, one of gauge-exact's
-        # 3 x 200 steps and one of the riccati starts
+        # riccati seed recursions each; one eigvals call, one polish and one
+        # residual check over the distinct anchor rows of their tables (every
+        # eighth row), one polish and one check over the distinct pairs of
+        # the other rows and their anchors (none falls back to eigvals), one
+        # recursion loop and one chain serve them all, and each method is set
+        # up for all three at once: one residual-checked solve of the power
+        # starts, one of gauge-exact's 3 x 200 steps and one of the riccati
+        # starts
         data = readme_scenario(tmp_path, 0.01)
         data["methods"] = list(wkbrec.wkb.METHOD_NAMES)
         scenario = write_scenario(tmp_path / "readme.json", data)
         problems = wkbrec.load_scenario(scenario).sweep_problems
-        tables = np.concatenate([p.table[: p.horizon + 1, :-1] for p in problems])
-        rows = len(np.unique(tables, axis=0))
-        assert rows == 401
+        tables = [p.table[: p.horizon + 1, :-1] for p in problems]
+        anchors = len(np.unique(np.concatenate([t[::8] for t in tables]), axis=0))
+        pairs = np.concatenate([np.hstack((t, t[np.arange(len(t)) // 8 * 8])) for t in tables])
+        pairs = len(np.unique(pairs[(pairs[:, :3] != pairs[:, 3:]).any(axis=1)], axis=0))
+        assert (anchors, pairs) == (52, 447)
         passes, loops, chains = self.count_batches(monkeypatch)
         loops += self.count_calls(monkeypatch, wkbrec.core, "_recur", lambda t, i: len(i))
         polish = self.count_calls(monkeypatch, wkbrec.roots, "_polish", lambda f, z: len(f))
@@ -587,8 +591,8 @@ class TestSweepReuse:
         )
         assert main(["run", scenario]) == EXIT_OK
         assert (passes, loops, chains) == ([3], [12], [18])
-        assert len(eigvals) <= 2 and sum(eigvals) == rows
-        assert (polish, checks) == ([rows], [rows])
+        assert eigvals == [anchors]
+        assert (polish, checks) == ([anchors, pairs], [anchors, pairs])
         assert solves == [3, 600, 3]
 
 
@@ -846,9 +850,9 @@ def test_json_tables_are_pinned(tmp_path):
     scenario = write_scenario(tmp_path / "readme.json", data)
     assert main(["run", scenario, "--format", "json"]) == EXIT_OK
     digests = {
-        "trajectory": "34567b044afb6b4a545938c72e8c3866dd3ecb5d832a560c0f9c3a5567488386",
-        "errors": "027197bb5ceb638376cde760fb547a97d8d1ab4d47e4af660c752192e2613d04",
-        "sweep": "5ed1cc50eb5b1e427b112c8564398af550a8bfe1aebf818147bb29fc4b53459f",
+        "trajectory": "dc68646c40fd4841b315f243793716cf1219f27fdb8164198f83c235cffa1e27",
+        "errors": "e235633a2eca5cd418a7fa5c0c9c6a0d3cb48177d7f9526fe96f4705b0deb957",
+        "sweep": "10460a85b807c2d9c5b7ae8a885891c60af5484ee3cc718cf845871aaa1ae657",
     }
     for name, digest in digests.items():
         data = (tmp_path / "out" / f"readme_{name}.json").read_bytes()
@@ -863,9 +867,9 @@ def test_csv_tables_are_pinned(tmp_path):
     scenario = write_scenario(tmp_path / "readme.json", data)
     assert main(["run", scenario, "--format", "csv"]) == EXIT_OK
     digests = {
-        "trajectory": "06bb19d2f75010586ca12ff6e13ba2be8415da89e2494d1eec9d15ec2076eeef",
-        "errors": "c8b302cc4a237a5c54329706407cbe509043fb0b0fcb707cee73b62e6d040817",
-        "sweep": "afc1ef5353ecef8c53ed904910662c89f548878080d49156186dd0af17a9bf6e",
+        "trajectory": "8827fc01c5c8a6f2888f4396c2ed7435550952e110d7cd0de5c357f854b62a34",
+        "errors": "3fe44d3fdc3513e68137a22edfc961c8ebf1a439bdd05f159f580f46d227d0a6",
+        "sweep": "8c7f83545425e605000b46dd39810d663ba880f01391e1a5b62a2f3621ffbcb4",
     }
     for name, digest in digests.items():
         data = (tmp_path / "out" / f"readme_{name}.csv").read_bytes()

@@ -12,7 +12,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wkbrec import (
@@ -192,6 +192,9 @@ def collision_paths(kind, n, k0, rate, center, width=0.5):
     center=st.floats(-1.0, 1.0),
     width=st.floats(0.2, 1.0),
 )
+# row 2's polish from row 0's real roots settles off the roots (see
+# test_warm_start.py), so the row must fall back to the eigenvalues
+@example(n=2, kind="crossing", k0=2, rate=0.0625, center=0.0, width=1.0)
 def test_near_collisions_fail_like_reference(n, kind, k0, rate, center, width):
     # without the large root a squeezed pair is ill-conditioned far above
     # the update tolerance, and whether either solver stops is luck
@@ -308,10 +311,13 @@ class TestFailures:
                 call()
 
     def test_failed_fallback_names_its_index(self, monkeypatch):
-        # every row is polished again from the circle start, and that second
-        # polish fails on the rows of the fourth index on (the pass sorts its
-        # distinct rows, so they are found by their bytes); the rows before
-        # it are still labelled first
+        # every polish after the first leaves the rows of the fourth index on
+        # unsettled (the pass sorts its distinct rows, so they are found by
+        # their bytes): the anchors at offsets 0, 8 and 16 are polished from
+        # the eigenvalues and again from the circle start, which fails the
+        # last two; the rows at offsets 1-7 are polished from row 0's roots,
+        # and those from offset 3 on fall back to both polishes and fail
+        # there.  The rows before the fourth index are still labelled first
         spec = sin_family(epsilon=0.02, horizon=20, k_start=5)
         late = {row.tobytes() for row in spec.table[3:21, :-1]}
         polish, calls = roots_module._polish, []
@@ -319,14 +325,14 @@ class TestFailures:
         def failing(f, z):
             z, unsettled = polish(f, z)
             calls.append(len(f))
-            if len(calls) == 2:
+            if len(calls) > 1:
                 unsettled |= [row.tobytes() in late for row in f]
             return z, unsettled
 
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))
         monkeypatch.setattr(roots_module, "_polish", failing)
         assert outcome(lambda: root_frames(spec)) == (NoConvergence, 8)
-        assert calls == [21, 21]
+        assert calls == [3, 3, 7, 5, 5]
 
     def test_unsettled_rows_fall_back_to_scalar_solver(self, monkeypatch):
         # coincident start values make every batched update non-finite
