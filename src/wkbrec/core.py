@@ -300,15 +300,16 @@ def _recur(tables, initial: np.ndarray) -> np.ndarray:
     Each index takes one batched product ``(M, 1, N) @ (M, N, 1)``, which
     numpy computes bit for bit as each member's ``f[s] @ y[s:s+N]``, so a
     member's values do not depend on the members beside it.  A lone member
-    steps on that 1-D product by ``np.dot``, faster than ``@`` or a batch
-    of one, and its table is not copied."""
+    steps on that 1-D product by the row's own ``dot`` (``np.dot``'s C
+    routine without its Python-level ``__array_function__`` dispatcher),
+    faster than ``@`` or a batch of one, and its table is not copied."""
     M, H, n = len(tables), len(tables[0]), tables[0].shape[1] - 1
     y = np.empty((M, H + n), dtype=complex)
     y[:, :n] = initial
     if M == 1:
         f, forcing, y1 = tables[0][:, :-1], tables[0][:, -1], y[0]
         for k, row, window, c in zip(range(n, H + n), f, sliding_window_view(y1, n), forcing):
-            y1[k] = -(np.dot(row, window) + c)
+            y1[k] = -(row.dot(window) + c)
         return y
     tables = np.stack(tables, axis=1)  # (H, M, N+1)
     f, forcing = tables[:, :, None, :-1], tables[:, :, -1]
@@ -357,8 +358,9 @@ def _chain(Y0: np.ndarray, T, push) -> np.ndarray:
     numpy computes bit for bit as the M products ``(N, N) @ (N,)``, so a
     chain's states do not depend on the chains stepped beside it.  Each chain
     is written once into one ``(H, M, N, N)`` step array (diagonals as ``diag
-    * I``).  A lone chain steps in 2-D by ``np.dot``, faster than
-    ``np.matmul`` or a batch of one, and on its step matrices uncopied."""
+    * I``).  A lone chain steps in 2-D by ``ndarray.dot`` (``np.dot``
+    without its Python-level dispatcher), faster than ``np.matmul`` or a
+    batch of one, and on its step matrices uncopied."""
     M, N = np.shape(Y0)
     H = len(T[0])
     if M == 1 and T[0].ndim == 3:
@@ -376,7 +378,7 @@ def _chain(Y0: np.ndarray, T, push) -> np.ndarray:
         push = np.stack(push, axis=1)[..., None]
         Y = np.empty((H + 1, M, N, 1), dtype=complex)
     Y[0] = np.reshape(Y0, Y.shape[1:])
-    step = np.dot if M == 1 else np.matmul
+    step = np.ndarray.dot if M == 1 else np.matmul
     for t, p, y, y_next in zip(steps, push, Y, Y[1:]):
         step(t, y, out=y_next)
         y_next += p

@@ -412,7 +412,7 @@ def _matches(roots: np.ndarray, k_lo: int) -> tuple[np.ndarray, AmbiguousTrackin
     )
     for t in np.flatnonzero(~certified):
         try:
-            nearest[t] = _best_assignment(prev[t], new[t], k_lo + t + 1)
+            nearest[t] = _best_assignment(prev[t], new[t], k_lo + int(t) + 1)
         except AmbiguousTracking as tie:
             return nearest[:t], tie
     return nearest, None

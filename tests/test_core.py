@@ -411,6 +411,28 @@ class TestCompanion:
             assert_allclose(b, a, rtol=1e-12)
 
 
+def test_lone_loops_step_without_the_dot_dispatcher(monkeypatch):
+    # a lone recursion and a lone chain step by the array's own ``dot``:
+    # numpy.dot, whose Python-level dispatcher costs more than a product of
+    # this size, is never called in their per-index loops
+    spec = sin_family(0.01, 120)
+    init = np.array([1.0, 0.5 - 0.25j, 0.25])
+    calls = (
+        lambda: [direct_solve(spec, init).values],
+        lambda: [companion_propagate(spec, init).values],
+        lambda: list(compare_methods(spec, init, ["direct", "wkb-general"]).values.values()),
+    )
+    want = [call() for call in calls]
+
+    def no_dot(*args, **kwargs):
+        raise AssertionError("numpy.dot called")
+
+    monkeypatch.setattr(np, "dot", no_dot)
+    for call, expected in zip(calls, want):
+        got = call()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
 class TestInvariants:
     def test_shift_invariance(self, rng):
         values = complex_array(rng, 40)

@@ -284,6 +284,8 @@ class TestFailures:
             (AmbiguousTracking, 4) if family == "near-tie" else (RecurrenceError, 7)
         )
         assert (type(got.value), got.value.k) == (type(want.value), want.value.k)
+        # the index is a plain int on both paths, as track_branches gives it
+        assert type(want.value.k) is int and type(got.value.k) is int
         assert str(got.value) == f"method '{method}': {want.value}"
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
