@@ -16,10 +16,10 @@ gauge at k, and the last row of H folds the recurrence coefficients through
 the gauge.  The transformation is exact for every admissible gauge; the gauge
 only changes how the solution is split, never the reconstructed sum.
 
-Linear systems are solved by partial-pivot elimination
-(``numpy.linalg.solve``), never by an explicit inverse, for a stack of
-indices at once: the step matrices and forcing terms of a whole run come
-from one solve, and every solve is residual-checked.
+Linear systems (the split of a window, the per-step references; the power
+gauge's steps have a closed form, ``wkb._exact_matrix``) are solved by
+partial-pivot elimination (``numpy.linalg.solve``), never by an explicit
+inverse, for a stack of indices at once, and every solve is residual-checked.
 """
 
 from __future__ import annotations
@@ -170,24 +170,6 @@ def _fold(g: np.ndarray, f: np.ndarray) -> np.ndarray:
     """:func:`build_H` for stacks: ``g`` ``(..., N-1, N)``, ``f`` ``(..., N)``."""
     last = -(f[..., None, 1:] @ g + f[..., None, :1])
     return np.concatenate([g, last], axis=-2)
-
-
-def _step_arrays(G: np.ndarray, f: np.ndarray, forcing: np.ndarray, ks):
-    """``T`` ``(P, H, N, N)`` and ``push`` ``(P, H, N)`` of the exact steps
-    ``Y[k+1] = T[k] Y[k] + push[k]`` of P problems, from their stacked gauge
-    matrices ``G`` ``(P, H+1, N, N)`` at ``ks`` ``(P, H+1)`` and their
-    coefficients ``f`` ``(P, H, N)`` and forcing ``(P, H)`` at ``ks[:, :-1]``:
-    one solve ``M [T | c] = [H | e_N]``, and ``push = -f(k) c``.  The third
-    result holds per problem its admissibility failure, else its solve
-    failure, else None."""
-    n = G.shape[-1]
-    ks = np.asarray(ks)
-    failures = _check_admissible(G, ks)
-    e_n = np.zeros(f.shape + (1,), dtype=complex)
-    e_n[..., -1, :] = 1.0
-    rhs = np.concatenate([_fold(G[:, :-1, 1:], f), e_n], axis=-1)
-    x, solve_failures = _residual_checked_solve(G[:, 1:], rhs, ks[:, 1:])
-    return x[..., :n], -forcing[..., None] * x[..., n], _first_failures(failures, solve_failures)
 
 
 def _solve_one(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:

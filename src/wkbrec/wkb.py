@@ -1,12 +1,14 @@
 """General-order propagation in the characteristic power gauge.
 
-Under the power gauge the step matrices have closed structure: the left-hand
-matrix is the Vandermonde matrix of the roots at k+1, and the right-hand
-matrix has column n equal to the powers ``(rho[n], rho[n]**2, ..., rho[n]**N)``
-of the roots at k.  :func:`exact_step_general` advances the components with a
-per-step solve; :func:`wkb_step_general` keeps only the diagonal of the
-one-step matrix, computed through the closed-form Vandermonde inverse, which
-is the slowly-varying (WKB) approximation for arbitrary order.
+Under the power gauge the left-hand step matrix is the Vandermonde matrix of
+the roots ``R`` at k+1, and the right-hand one has column n equal to
+``(r[n], r[n]**2, ..., r[n]**N)`` for the roots ``r`` at k, less ``p_k(r[n])``
+in row N (p_k the characteristic polynomial at k).  So the one-step matrix
+has the closed (Lagrange) form ``T[i, j] = s[i] (r[j] prod_{m != i} (r[j] -
+R[m]) - p_k(r[j]))``, ``s`` the last column of the inverse; the array path
+builds it so, and :func:`exact_step_general` solves the step instead.  Its
+diagonal without the p_k term is the slowly-varying (WKB) gain of
+:func:`wkb_step_general`, for arbitrary order.
 
 :func:`compare_methods` runs any subset of the named propagation methods on
 one problem and tabulates per-step relative errors against the scalar
@@ -42,10 +44,10 @@ import numpy as np
 from .core import RecurrenceSpec, _chain, _companion_chain, _initial, _recur
 from .decomposition import (
     ComponentVector,
+    _check_admissible,
     _decompose,
     _first_failures,
     _solve_one,
-    _step_arrays,
     build_M,
 )
 from .errors import Breakdown, DegenerateRoots, RecurrenceError
@@ -53,8 +55,10 @@ from .roots import (
     DEFAULT_ROOT_TOL,
     RootFrame,
     _check_separation,
+    _descending,
     _differences,
     _frames_checked,
+    _polyval,
     _root_tables,
     _spread,
     _vandermonde,
@@ -106,6 +110,20 @@ def _wkb_gain(r: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Diagonal power-gauge gains ``r[i] prod_{m != i} (r[i]-R[m]) / (R[i]-R[m])``
     for root sets ``r`` at k and ``R`` at k+1 (last axis)."""
     return r * (_differences(r, R, 1.0) / _differences(R, R, 1.0)).prod(axis=-1)
+
+
+def _exact_matrix(r: np.ndarray, R: np.ndarray, f: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Exact power-gauge steps ``M[k+1]^-1 H[k+1]`` for any distinct ``R``, in
+    Lagrange form (module docstring): no division, so ``r == R`` stays finite."""
+    d = r[..., None, :] - R[..., :, None]  # d[m, j] = r[j] - R[m]
+    T = np.ones_like(d)
+    np.cumprod(d[..., :-1, :], axis=-2, out=T[..., 1:, :])  # m < i
+    np.cumprod(d[..., :0:-1, :], axis=-2, out=d[..., :0:-1, :])
+    T[..., :-1, :] *= d[..., 1:, :]  # m > i
+    T *= r[..., None, :]
+    T -= _polyval(_descending(f), r)[..., None, :]
+    T *= spread[..., :, None]
+    return T
 
 
 def wkb_diagonal_gain(frame_now: RootFrame, frame_next: RootFrame) -> np.ndarray:
@@ -245,19 +263,19 @@ _branch_sum = partial(np.sum, axis=1)
 def _power_gauge_chain(problems: list[_Problem], kernel=None):
     """A power-gauge method over the ``(P, H+1, N)`` root tables of the
     problems, from their ``start``: ``kernel(r, R)`` gives the step matrices
-    or diagonals from the roots at k and k+1 (the forcing is spread by
-    ``spread``); no kernel means the exact step, which has its own verdict."""
+    or diagonals from the roots at k and k+1, and the forcing is spread by
+    ``spread``.  No kernel means the exact step, :func:`_exact_matrix` (its
+    diagonal less ``-spread[i] p_k(r[i])`` is ``wkb-general``'s gain), which
+    takes the admissibility verdict of its Vandermonde matrices."""
     horizon = problems[0].spec.horizon
     roots = np.stack([p.roots for p in problems])
     table = np.stack([p.spec.table[:horizon] for p in problems])
-    f, forcing = table[..., :-1], table[..., -1]
+    spread = np.stack([p.spread for p in problems])
+    failures = [None] * len(problems)
     if kernel is None:
-        ks = np.stack([p.ks for p in problems])
-        T, push, failures = _step_arrays(_vandermonde(roots), f, forcing, ks)
-    else:
-        T = kernel(roots[:, :-1], roots[:, 1:])
-        push = -forcing[..., None] * np.stack([p.spread for p in problems])
-        failures = [None] * len(problems)
+        failures = _check_admissible(_vandermonde(roots), np.stack([p.ks for p in problems]))
+        kernel = partial(_exact_matrix, f=table[..., :-1], spread=spread)
+    T, push = kernel(roots[:, :-1], roots[:, 1:]), -table[..., -1:] * spread
     return [_Chained(p.start, t, q, _branch_sum) for p, t, q in zip(problems, T, push)], failures
 
 

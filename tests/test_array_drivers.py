@@ -7,12 +7,14 @@ exact step through :func:`propagate` under the power gauge, the closed-form
 Vandermonde step :func:`wkb_step_general`, and the hand-expanded third-order
 formulas written out branch by branch.  Driver and reference must agree to
 1e-12 relative, and must fail with the same error at the same index.  The
-companion chain must equal its per-step products bit for bit, and the
-batched gauge-exact solve must agree with the Björck-Pereyra Vandermonde
-solve.  One chain steps all of a problem's methods together; each chain's
-states, and each method's values, must equal those of the chain run alone,
-bit for bit.
+companion chain must equal its per-step products bit for bit, and
+gauge-exact's closed-form steps must agree with the dense per-step solve and
+the Björck-Pereyra Vandermonde solve.  One chain steps all of a problem's
+methods together; each chain's states, and each method's values, must equal
+those of the chain run alone, bit for bit.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from wkbrec import (
     SingularGauge,
     Tabulated,
     build_H,
+    build_M,
     companion_matrix,
     companion_propagate,
     compare_methods,
@@ -47,9 +50,9 @@ from wkbrec import (
 )
 from wkbrec import wkb
 from wkbrec.core import _chain
-from wkbrec.decomposition import ComponentVector, _residual_checked_solve, _step_arrays
+from wkbrec.decomposition import ComponentVector, _residual_checked_solve
 from wkbrec.roots import DEFAULT_ROOT_TOL, _spread, _vandermonde
-from conftest import sin_family
+from conftest import complex_array, sin_family
 
 
 def explicit_step_loops(Y, frame_now, frame_next, f_k):
@@ -292,23 +295,98 @@ def test_bjorck_pereyra_solves_the_vandermonde_system(rng):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(6, 8), seed=seeds, eps=epsilons)
 def test_step_solve_matches_bjorck_pereyra(n, seed, eps):
-    # gauge-exact's batched solve M[k+1] [T | c] = [H[k+1] | e_N] against the
-    # O(N^2) Vandermonde solve, step by step, with H from the per-step builder
+    # gauge-exact's closed-form steps T = M[k+1]^-1 H[k+1] and push =
+    # -f(k) M[k+1]^-1 e_N against the O(N^2) Vandermonde solve, step by
+    # step, with H from the per-step builder
     rng = np.random.default_rng(seed)
     spec = drifting_spec(rng, n, eps, True)
     frames = root_frames(spec)
     roots = np.array([frame.roots for frame in frames])
     ks = np.arange(spec.k_start, spec.k_start + spec.horizon + 1)
-    f, forcing = spec.table[: spec.horizon, :-1], spec.table[: spec.horizon, -1]
-    [T], [push], [failure] = _step_arrays(_vandermonde(roots)[None], f[None], forcing[None], [ks])
-    assert failure is None
+    forcing = spec.table[: spec.horizon, -1]
+    chained = gauge_exact_chained(spec, complex_array(rng, n))
     e_n = np.eye(n)[:, -1]
     for t in range(spec.horizon):
         h = build_H(power_gauge(frames[t]), spec.coeff_array(ks[t]))
         x = bjorck_pereyra(roots[t + 1], np.column_stack([h, e_n]))
         want_T, want_push = x[:, :n], -forcing[t] * x[:, n]
-        assert np.max(np.abs(T[t] - want_T)) <= 1e-10 * np.max(np.abs(want_T))
-        assert np.max(np.abs(push[t] - want_push)) <= 1e-10 * np.max(np.abs(want_push))
+        assert np.max(np.abs(chained.T[t] - want_T)) <= 1e-10 * np.max(np.abs(want_T))
+        assert np.max(np.abs(chained.push[t] - want_push)) <= 1e-10 * np.max(np.abs(want_push))
+
+
+def gauge_exact_chained(spec, initial):
+    """gauge-exact's chain inputs for ``spec``, from its own root pass and set-up."""
+    problem = wkb._Problem.of(spec, initial, ["gauge-exact"])
+    wkb._root_pass([problem], ["gauge-exact"], DEFAULT_ROOT_TOL)
+    assert problem.root_error is None
+    [chained], [failure] = wkb._METHODS["gauge-exact"].setup([problem])
+    assert failure is None
+    return chained
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), seed=seeds, eps=epsilons, forced=st.booleans())
+def test_gauge_exact_steps_match_the_dense_step_solve(n, seed, eps, forced):
+    # the closed Lagrange form against M[k+1]^-1 [H[k+1] | e_N] by a dense
+    # solve, with both matrices from the per-step builders
+    rng = np.random.default_rng(seed)
+    spec = drifting_spec(rng, n, eps, forced)
+    frames = root_frames(spec)
+    chained = gauge_exact_chained(spec, complex_array(rng, n))
+    e_n = np.eye(n)[:, -1]
+    for t in range(spec.horizon):
+        k = spec.k_start + t
+        h = build_H(power_gauge(frames[t]), spec.coeff_array(k))
+        x = np.linalg.solve(build_M(power_gauge(frames[t + 1])), np.column_stack([h, e_n]))
+        want_T, want_push = x[:, :n], -spec.forcing_value(k) * x[:, n]
+        assert np.max(np.abs(chained.T[t] - want_T)) <= 1e-10 * np.max(np.abs(want_T))
+        assert np.max(np.abs(chained.push[t] - want_push)) <= 1e-10 * np.max(np.abs(want_push))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), seed=seeds)
+def test_the_lagrange_form_is_exact_for_any_distinct_nodes(n, seed):
+    # separated nodes R at k+1 and arbitrary nodes r at k, with coefficients
+    # that neither set is a root of: the form is still M^-1 H of their power
+    # gauges, and its spread is the last column of M^-1
+    rng = np.random.default_rng(seed)
+    R = np.exp(0.1 * complex_array(rng, (5, n)) + 2j * np.pi * np.arange(n) / n)
+    r, f = complex_array(rng, (5, n)), complex_array(rng, (5, n))
+    T = wkb._exact_matrix(r, R, f, _spread(R))
+    e_n = np.eye(n)[:, -1]
+    for t in range(5):
+        h = build_H(GaugeSet(k=0, g=_vandermonde(r[t])[1:]), f[t])
+        x = np.linalg.solve(build_M(GaugeSet(k=1, g=_vandermonde(R[t])[1:])), np.column_stack([h, e_n]))
+        assert np.max(np.abs(T[t] - x[:, :n])) <= 1e-10 * np.max(np.abs(x[:, :n]))
+        assert np.max(np.abs(_spread(R[t]) - x[:, n])) <= 1e-10 * np.max(np.abs(x[:, n]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), seed=seeds, forced=st.booleans())
+def test_gauge_exact_on_a_constant_window_stays_at_the_oracle(n, seed, forced):
+    # every root row of a constant window is the same row, bit for bit, so
+    # r[j] == R[j]: the closed form takes no division there.  Roots near the
+    # unit circle keep the oracle O(1); the error is normwise, since a
+    # pointwise one near a zero of the oracle says nothing of the method
+    rng = np.random.default_rng(seed)
+    angles = 2 * np.pi * (np.arange(n) + 0.5 * rng.random(n)) / n
+    roots = np.exp(0.05 * rng.standard_normal(n) + 1j * angles)
+    horizon = 30
+    forcing = Tabulated(values=complex_array(rng, horizon + n + 1), k_first=0)
+    spec = RecurrenceSpec(
+        order=n,
+        coeffs=tuple(Constant(c) for c in np.poly(roots)[::-1][:n]),
+        k_start=0,
+        horizon=horizon,
+        forcing=forcing if forced else Constant(0.0),
+    )
+    frames = np.array([frame.roots for frame in root_frames(spec)])
+    assert np.array_equal(frames, np.broadcast_to(frames[0], frames.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = compare_methods(spec, complex_array(rng, n), ["gauge-exact"])
+    error = np.max(np.abs(table.values["gauge-exact"] - table.oracle))
+    assert error <= 1e-12 * np.max(np.abs(table.oracle))
 
 
 def squeeze_spec(n, k0, center):

@@ -568,8 +568,8 @@ class TestSweepReuse:
         # the other rows and their anchors (none falls back to eigvals), one
         # recursion loop and one chain serve them all, and each method is set
         # up for all three at once: one residual-checked solve of the power
-        # starts, one of gauge-exact's 3 x 200 steps and one of the riccati
-        # starts
+        # starts and one of the riccati starts (gauge-exact's steps take no
+        # solve)
         data = readme_scenario(tmp_path, 0.01)
         data["methods"] = list(wkbrec.wkb.METHOD_NAMES)
         scenario = write_scenario(tmp_path / "readme.json", data)
@@ -593,7 +593,7 @@ class TestSweepReuse:
         assert (passes, loops, chains) == ([3], [12], [18])
         assert eigvals == [anchors]
         assert (polish, checks) == ([anchors, pairs], [anchors, pairs])
-        assert solves == [3, 600, 3]
+        assert solves == [3, 3]
 
 
 class TestFailureOrder:
@@ -850,9 +850,9 @@ def test_json_tables_are_pinned(tmp_path):
     scenario = write_scenario(tmp_path / "readme.json", data)
     assert main(["run", scenario, "--format", "json"]) == EXIT_OK
     digests = {
-        "trajectory": "dc68646c40fd4841b315f243793716cf1219f27fdb8164198f83c235cffa1e27",
-        "errors": "e235633a2eca5cd418a7fa5c0c9c6a0d3cb48177d7f9526fe96f4705b0deb957",
-        "sweep": "10460a85b807c2d9c5b7ae8a885891c60af5484ee3cc718cf845871aaa1ae657",
+        "trajectory": "d2f5c796f67ab3a0b0894df785671763465b7ac07891c7da741346c186e97401",
+        "errors": "1690525d1f194b8366c5ea99b3e90a5c8e008b252e4dd385900c4350e22e20cf",
+        "sweep": "bfc11678e59c739d5f9e72a46241aef9fb64a95cf681e66f76b8f693603e1a54",
     }
     for name, digest in digests.items():
         data = (tmp_path / "out" / f"readme_{name}.json").read_bytes()
@@ -867,9 +867,9 @@ def test_csv_tables_are_pinned(tmp_path):
     scenario = write_scenario(tmp_path / "readme.json", data)
     assert main(["run", scenario, "--format", "csv"]) == EXIT_OK
     digests = {
-        "trajectory": "8827fc01c5c8a6f2888f4396c2ed7435550952e110d7cd0de5c357f854b62a34",
-        "errors": "3fe44d3fdc3513e68137a22edfc961c8ebf1a439bdd05f159f580f46d227d0a6",
-        "sweep": "8c7f83545425e605000b46dd39810d663ba880f01391e1a5b62a2f3621ffbcb4",
+        "trajectory": "f153b1c26f57a07c6ca935e713fdaaa67f829dac53dd578bd34a5535327e06a0",
+        "errors": "3cd53586f84b1bfed2d0e4e40cb00408ddbb38623b911864a7201056e2413bfd",
+        "sweep": "8e1300f1b05a2ac9b04935a5ab8ca762b61271c22b8096f0796288d93ac11898",
     }
     for name, digest in digests.items():
         data = (tmp_path / "out" / f"readme_{name}.csv").read_bytes()
