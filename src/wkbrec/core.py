@@ -109,6 +109,17 @@ class Tabulated(CoefficientModel):
         return self.values[lo - self.k_first : hi - self.k_first + 1]
 
 
+def _check_parameters(kind: str, **values: float) -> None:
+    """The real parameters of a ``kind`` model are finite, and its epsilon
+    nonnegative; a NaN would otherwise pass ``epsilon < 0`` and fill the
+    table with NaN."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} model: {name} must be finite, got {value!r}")
+    if values["epsilon"] < 0:
+        raise ValueError("epsilon must be nonnegative")
+
+
 @dataclass(frozen=True)
 class PolynomialInEpsK(CoefficientModel):
     """Polynomial in ``eps * k`` with coefficients in ascending degree."""
@@ -118,8 +129,7 @@ class PolynomialInEpsK(CoefficientModel):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        _check_parameters("polynomial", epsilon=self.epsilon)
 
     def __call__(self, k: int) -> complex:
         x = self.epsilon * k
@@ -153,8 +163,9 @@ class SinusoidalInEpsK(CoefficientModel):
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        _check_parameters(
+            "sinusoidal", frequency=self.frequency, phase=self.phase, epsilon=self.epsilon
+        )
 
     def __call__(self, k: int) -> complex:
         arg = self.frequency * self.epsilon * k + self.phase

@@ -58,8 +58,12 @@ TIE_THRESHOLD = 1e-12
 # rounding in the two computations cannot separate their verdicts.
 _CERTIFY_MARGIN = 4.0
 # The root pass solves from nothing only every this many rows of a span (its
-# anchors) and polishes the rows between from their anchor's roots.
-WARM_STRIDE = 8
+# anchors) and polishes the rows between from their anchor's roots.  One
+# anchor's ``eigvals`` costs about as much as the three Aberth sweeps of each
+# of three or four warm rows, and on the benchmark's slowly varying families
+# a warm row settles in those three sweeps up to 31 rows from its anchor, so
+# a shorter spacing saves no sweeps and pays more ``eigvals``.
+WARM_STRIDE = 32
 
 
 @dataclass(frozen=True, eq=False)

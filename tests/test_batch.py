@@ -34,7 +34,7 @@ from wkbrec import (
 from wkbrec import roots as roots_module
 from wkbrec import wkb
 from wkbrec.core import _recur
-from wkbrec.roots import DEFAULT_ROOT_TOL, _root_tables
+from wkbrec.roots import DEFAULT_ROOT_TOL, WARM_STRIDE, _root_tables
 from wkbrec.wkb import _compare_batch
 from conftest import constant_spec, sin_family
 from test_array_drivers import drifting_spec, squeeze_spec
@@ -194,12 +194,13 @@ def test_spans_sharing_rows_equal_their_pass_alone(eps, picks):
 
 
 def test_shared_rows_that_fall_back_equal_their_pass_alone(monkeypatch):
-    # zero start values leave every distinct anchor row unsettled (rows 0,
-    # 8, .., 40 at eps, which hold the anchors of the 2eps span too), so
-    # each of the 6 is polished again from the circle start, once, and gets
-    # the roots of characteristic_roots on that row; the 44 distinct pairs
-    # of another row and its anchor are polished once from the anchor's
-    # roots, and agree with characteristic_roots to rounding
+    # zero start values leave every distinct anchor row unsettled (rows 0
+    # and 32 at eps; row 0 is the anchor of the 2eps span too), so each of
+    # the 2 is polished again from the circle start, once, and gets the
+    # roots of characteristic_roots on that row; the 44 distinct pairs of
+    # another row and its anchor (39 at eps, and rows 16-20 at 2eps, which
+    # are rows 32-40 at eps with anchor 0, not 32) are polished once from
+    # the anchor's roots, and agree with characteristic_roots to rounding
     specs = shared_row_specs(0.01)
     spans = [(specs["eps"], 0, 40), (specs["2eps"], 0, 20), (specs["eps"], 0, 40)]
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))
@@ -211,14 +212,14 @@ def test_shared_rows_that_fall_back_equal_their_pass_alone(monkeypatch):
 
     monkeypatch.setattr(roots_module, "_polish", counted)
     batch = _root_tables(spans, DEFAULT_ROOT_TOL)
-    assert polished == [6, 6, 44]
+    assert polished == [2, 2, 44]
     for span, got in zip(spans, batch):
         assert got[1] is None
         assert_span_alone(span, got)
         spec, k_lo, _ = span
         for t, row in enumerate(got[0][0]):
             alone = roots_module.characteristic_roots(spec.coeff_array(k_lo + t))
-            if t % 8 == 0:
+            if t % WARM_STRIDE == 0:
                 assert np.sort(row).tobytes() == np.sort(alone).tobytes()
             else:
                 scale = np.abs(alone).max()

@@ -12,6 +12,7 @@ import pytest
 import wkbrec
 from wkbrec import cli
 from wkbrec.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, main
+from wkbrec.roots import WARM_STRIDE
 from wkbrec.wkb import METHOD_NAMES
 from test_root_frames import double_root_then_tie_paths, spec_from_roots
 
@@ -564,21 +565,22 @@ class TestSweepReuse:
         # and the sweep 0.02, 0.01, 0.005 make three problems, with three
         # riccati seed recursions each; one eigvals call, one polish and one
         # residual check over the distinct anchor rows of their tables (every
-        # eighth row), one polish and one check over the distinct pairs of
-        # the other rows and their anchors (none falls back to eigvals), one
-        # recursion loop and one chain serve them all, and each method is set
-        # up for all three at once: one residual-checked solve of the power
-        # starts and one of the riccati starts (gauge-exact's steps take no
-        # solve)
+        # WARM_STRIDE-th row), one polish and one check over the distinct
+        # pairs of the other rows and their anchors (none falls back to
+        # eigvals), one recursion loop and one chain serve them all, and each
+        # method is set up for all three at once: one residual-checked solve
+        # of the power starts and one of the riccati starts (gauge-exact's
+        # steps take no solve)
         data = readme_scenario(tmp_path, 0.01)
         data["methods"] = list(wkbrec.wkb.METHOD_NAMES)
         scenario = write_scenario(tmp_path / "readme.json", data)
         problems = wkbrec.load_scenario(scenario).sweep_problems
         tables = [p.table[: p.horizon + 1, :-1] for p in problems]
-        anchors = len(np.unique(np.concatenate([t[::8] for t in tables]), axis=0))
-        pairs = np.concatenate([np.hstack((t, t[np.arange(len(t)) // 8 * 8])) for t in tables])
+        anchors = len(np.unique(np.concatenate([t[::WARM_STRIDE] for t in tables]), axis=0))
+        anchor = [np.arange(len(t)) // WARM_STRIDE * WARM_STRIDE for t in tables]
+        pairs = np.concatenate([np.hstack((t, t[a])) for t, a in zip(tables, anchor)])
         pairs = len(np.unique(pairs[(pairs[:, :3] != pairs[:, 3:]).any(axis=1)], axis=0))
-        assert (anchors, pairs) == (52, 447)
+        assert (anchors, pairs) == (13, 484)
         passes, loops, chains = self.count_batches(monkeypatch)
         loops += self.count_calls(monkeypatch, wkbrec.core, "_recur", lambda t, i: len(i))
         polish = self.count_calls(monkeypatch, wkbrec.roots, "_polish", lambda f, z: len(f))
@@ -850,9 +852,9 @@ def test_json_tables_are_pinned(tmp_path):
     scenario = write_scenario(tmp_path / "readme.json", data)
     assert main(["run", scenario, "--format", "json"]) == EXIT_OK
     digests = {
-        "trajectory": "d2f5c796f67ab3a0b0894df785671763465b7ac07891c7da741346c186e97401",
-        "errors": "1690525d1f194b8366c5ea99b3e90a5c8e008b252e4dd385900c4350e22e20cf",
-        "sweep": "bfc11678e59c739d5f9e72a46241aef9fb64a95cf681e66f76b8f693603e1a54",
+        "trajectory": "a78f6b8215428241c67db918d1f7704f80cb05883262efd6a6f517f24c52c8f7",
+        "errors": "874c92eb69127a248559839daaf2379c8c9c8ff9dd123ef16873305294255d2d",
+        "sweep": "cab3a9fb13c1dc8be74abc62a071955d6295e15262bd9df617f4c7f21f3f8dec",
     }
     for name, digest in digests.items():
         data = (tmp_path / "out" / f"readme_{name}.json").read_bytes()
@@ -867,9 +869,9 @@ def test_csv_tables_are_pinned(tmp_path):
     scenario = write_scenario(tmp_path / "readme.json", data)
     assert main(["run", scenario, "--format", "csv"]) == EXIT_OK
     digests = {
-        "trajectory": "f153b1c26f57a07c6ca935e713fdaaa67f829dac53dd578bd34a5535327e06a0",
-        "errors": "3cd53586f84b1bfed2d0e4e40cb00408ddbb38623b911864a7201056e2413bfd",
-        "sweep": "8e1300f1b05a2ac9b04935a5ab8ca762b61271c22b8096f0796288d93ac11898",
+        "trajectory": "6762ddb7de6bb5e8d9abdb450d797ced7736a880298077ea7a28873468856817",
+        "errors": "cd1c8198ccbd5dd618a83b89a595a4c0841e2ff3b559b32f5c75ea21ee9c8bfd",
+        "sweep": "80843944cd378f6c4f494a53181acfbfbdb6cb140a39cf13073387db821900b9",
     }
     for name, digest in digests.items():
         data = (tmp_path / "out" / f"readme_{name}.csv").read_bytes()

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,7 @@ from wkbrec import (
     companion_propagate,
     compare_methods,
     direct_solve,
+    epsilon_sweep,
 )
 from wkbrec.wkb import METHOD_NAMES
 from conftest import complex_array, constant_spec, sin_family
@@ -45,6 +47,27 @@ class TestCoefficientModels:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             PolynomialInEpsK(coeffs=(1,), epsilon=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda x: PolynomialInEpsK(coeffs=(1, 2), epsilon=x), "polynomial model: epsilon"),
+            (lambda x: SinusoidalInEpsK(1, 2, epsilon=x), "sinusoidal model: epsilon"),
+            (lambda x: SinusoidalInEpsK(1, 2, frequency=x), "sinusoidal model: frequency"),
+            (lambda x: SinusoidalInEpsK(1, 2, phase=x), "sinusoidal model: phase"),
+        ],
+    )
+    def test_non_finite_parameters_are_rejected_by_name(self, build, name, value):
+        # nan < 0 is false, so a sign check alone lets a NaN fill the table
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            build(value)
+
+    def test_a_sweep_to_a_nan_epsilon_names_the_parameter(self):
+        # with_epsilon rebuilds each model, so the sweep fails before any
+        # table is sampled, not as a breakdown of the first method
+        with pytest.raises(ValueError, match="^sinusoidal model: epsilon must be finite, got nan$"):
+            epsilon_sweep(sin_family(0.01, 20), [1.0, 0.5, 0.25], ["direct"], [0.01, math.nan])
 
     def test_tabulated_out_of_coverage(self):
         model = Tabulated(values=np.arange(4), k_first=0)

@@ -315,13 +315,13 @@ class TestFailures:
     def test_failed_fallback_names_its_index(self, monkeypatch):
         # every polish after the first leaves the rows of the fourth index on
         # unsettled (the pass sorts its distinct rows, so they are found by
-        # their bytes): the anchors at offsets 0, 8 and 16 are polished from
+        # their bytes): the anchors at offsets 0 and 32 are polished from
         # the eigenvalues and again from the circle start, which fails the
-        # last two; the rows at offsets 1-7 are polished from row 0's roots,
+        # second; the rows at offsets 1-31 are polished from row 0's roots,
         # and those from offset 3 on fall back to both polishes and fail
         # there.  The rows before the fourth index are still labelled first
-        spec = sin_family(epsilon=0.02, horizon=20, k_start=5)
-        late = {row.tobytes() for row in spec.table[3:21, :-1]}
+        spec = sin_family(epsilon=0.02, horizon=40, k_start=5)
+        late = {row.tobytes() for row in spec.table[3:41, :-1]}
         polish, calls = roots_module._polish, []
 
         def failing(f, z):
@@ -334,7 +334,7 @@ class TestFailures:
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.zeros(a.shape[:-1], complex))
         monkeypatch.setattr(roots_module, "_polish", failing)
         assert outcome(lambda: root_frames(spec)) == (NoConvergence, 8)
-        assert calls == [3, 3, 7, 5, 5]
+        assert calls == [2, 2, 31, 29, 29]
 
     def test_unsettled_rows_fall_back_to_scalar_solver(self, monkeypatch):
         # coincident start values make every batched update non-finite

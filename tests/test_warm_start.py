@@ -36,15 +36,24 @@ def eigvals_rows():
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 8), seed=seeds, eps=st.floats(0.01, 0.2), forced=st.booleans())
-def test_warm_roots_agree_with_the_eigenvalue_path(n, seed, eps, forced):
-    # each row's roots against one eigvals and one polish of that row alone,
-    # matched root to root (the roots are well separated, so each has one
-    # nearest counterpart)
-    spec = drifting_spec(np.random.default_rng(seed), n, eps, forced, horizon=40)
-    [((roots, _), error)] = _root_tables([(spec, 0, spec.horizon)], DEFAULT_ROOT_TOL)
+@given(
+    n=st.integers(2, 8),
+    seed=seeds,
+    eps=st.floats(0.01, 0.2),
+    forced=st.booleans(),
+    horizon=st.integers(1, 3 * WARM_STRIDE),
+)
+def test_warm_roots_agree_with_the_eigenvalue_path(n, seed, eps, forced, horizon):
+    # only the anchor rows reach eigvals (no warm row falls back), and each
+    # row's roots, up to WARM_STRIDE - 1 rows from its anchor, agree with
+    # one eigvals and one polish of that row alone, matched root to root
+    # (the roots are well separated, so each has one nearest counterpart)
+    spec = drifting_spec(np.random.default_rng(seed), n, eps, forced, horizon=horizon)
+    with eigvals_rows() as rows:
+        [((roots, _), error)] = _root_tables([(spec, 0, spec.horizon)], DEFAULT_ROOT_TOL)
     assert error is None
     f = spec.table[: spec.horizon + 1, :-1]
+    assert rows == [len(f[::WARM_STRIDE])]
     want, unsettled = _polish(f, np.linalg.eigvals(_companion(f)))
     assert not unsettled.any()
     distance = np.abs(roots[:, :, None] - want[:, None, :])
@@ -68,10 +77,12 @@ def test_spans_at_other_offsets_keep_their_bytes_in_a_batch(n, seed, eps, forced
     # a row's anchor is set by its offset in its own span, so a row shared
     # by two spans at other offsets may differ in its last bits between
     # them, but each span's bytes are those of its pass alone
-    spec = drifting_spec(np.random.default_rng(seed), n, eps, forced, horizon=40)
-    spans = [(spec, 0, 40), (spec, lo, 30), (spec, 0, 40), (spec, lo, lo)]
+    horizon = 3 * WARM_STRIDE
+    spec = drifting_spec(np.random.default_rng(seed), n, eps, forced, horizon=horizon)
+    spans = [(spec, 0, horizon), (spec, lo, lo + 30), (spec, 0, horizon), (spec, lo, lo)]
     for span, got in zip(spans, _root_tables(spans, DEFAULT_ROOT_TOL)):
         assert got[1] is None
+        assert len(got[0][0]) == span[2] - span[1] + 1
         assert_span_alone(span, got)
 
 
@@ -108,8 +119,8 @@ def test_a_warm_polish_that_settles_off_the_roots_falls_back():
     # a real pair at row 0 turns into the complex pair +-0.177j at k=2; the
     # polish of row 2 from row 0's real roots stays on the real axis and
     # settles at a double point with residual 3.1e-2, so the residual check
-    # sends rows 2-7 to the eigenvalues, and the tie of the crossing at k=2
-    # is the error, as in the reference pass
+    # sends rows 2-10 (the span's last) to the eigenvalues, and the tie of
+    # the crossing at k=2 is the error, as in the reference pass
     spec = spec_from_roots(collision_paths("crossing", 2, 2, 0.0625, 0.0, 1.0))
     f = spec.table[:, :-1]
     z, _, _ = roots_module._cold_roots(f[:1], DEFAULT_ROOT_TOL)
@@ -119,5 +130,5 @@ def test_a_warm_polish_that_settles_off_the_roots_falls_back():
     assert np.isclose(residuals.max(), 3.125e-2)
     with eigvals_rows() as rows:
         got = outcome(lambda: root_frames(spec))
-    assert rows == [2, 6]
+    assert rows == [1, 9]
     assert got == outcome(lambda: reference_frames(spec)) == (AmbiguousTracking, 2)
